@@ -13,12 +13,10 @@ import json
 
 import numpy as np
 
-from quips.covariance import estimate_subspace_covariances, regularize
-from quips.evalbench import concentration_check, unbiasedness_check
-from quips.index import build_index
-from quips.train import TrainConfig, train_quip
-from quips.vecstore import (PreprocessSpec, generate_synthetic,
-                            make_chunk_layout)
+from quips.evalbench import (ExperimentConfig, build_quip_pipeline,
+                             concentration_check, unbiasedness_check)
+from quips.train import TrainConfig
+from quips.vecstore import generate_synthetic
 
 
 def main() -> None:
@@ -37,18 +35,15 @@ def main() -> None:
 
     db = generate_synthetic(args.n, args.d, args.spread, args.seed)
     qs = generate_synthetic(args.n_queries, args.d, args.spread, args.seed + 1)
-    layout = make_chunk_layout(args.d, args.k)
-    spec = PreprocessSpec(kind="identity", seed=0, d_padded=layout.d_padded)
     exact = qs.data @ db.data.T
     a = float(np.percentile(exact[exact > 0], args.a_percentile))
+    # identity preprocessing, so the raw rows are the ones the index encodes
+    cfg = ExperimentConfig(seed=args.seed, preprocess="identity", ridge=1e-6,
+                           iters=TrainConfig().T)
 
-    for source, pool in (("database", db), ("example_queries", qs)):
-        cov = regularize(
-            estimate_subspace_covariances(pool, layout, source=source), 1e-6)
-        cb, codes, _ = train_quip(db, cov,
-                                  TrainConfig(K=args.k, C=args.c, seed=args.seed))
-        index = build_index(db, cb, codes, spec, cov)
-        print(f"== covariance source: {source}")
+    for method in ("quip-cov-x", "quip-cov-q"):
+        index = build_quip_pipeline(method, db, qs, args.k, args.c, cfg)
+        print(f"== covariance source: {index.cov.source}")
         bias = unbiasedness_check(index, qs, db.data, args.samples, args.seed)
         print(f"  mean signed error {bias['mean_error']:+.3e} "
               f"(SE {bias['standard_error']:.3e}, "

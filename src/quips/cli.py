@@ -14,12 +14,9 @@ import sys
 import numpy as np
 
 from . import evalbench
-from .covariance import estimate_subspace_covariances, regularize
 from .index import build_index, load_index, save_index, search_top_n
-from .train import TrainConfig, train_quip, train_quip_opt
-from .vecstore import (DataError, apply_preprocess,
-                       generate_synthetic, load_vectors, make_chunk_layout,
-                       make_preprocess, save_fvecs)
+from .train import TrainConfig
+from .vecstore import DataError, apply_preprocess, generate_synthetic, load_vectors, save_fvecs
 
 
 class InvariantViolation(RuntimeError):
@@ -95,39 +92,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _train_index(args):
-    db = load_vectors(args.data, args.format)
-    layout = make_chunk_layout(db.d, args.k)
-    spec, layout = make_preprocess(args.preprocess, args.seed, layout)
-    dbp = apply_preprocess(db, spec)
-    if args.method == "quip-cov-x":
-        cov = estimate_subspace_covariances(dbp, layout, source="database")
-        qsp = None
-    else:
-        if not args.queries:
-            raise DataError(f"{args.method} requires --queries")
-        qs = load_vectors(args.queries, args.format)
-        qsp = apply_preprocess(qs, spec)
-        cov = estimate_subspace_covariances(qsp, layout, source="example_queries")
-    cov = regularize(cov, args.ridge)
-    cfg = TrainConfig(K=args.k, C=args.c, T=args.iters, seed=args.seed,
-                      lam=args.lam, J=args.j)
-    if args.method == "quip-opt":
-        cb, codes, trace = train_quip_opt(dbp, qsp, cov, cfg)
-    else:
-        cb, codes, trace = train_quip(dbp, cov, cfg)
-    save_index(build_index(dbp, cb, codes, spec, cov), args.out)
-    print(f"trained {args.method}: n={db.n} K={args.k} C={args.c} "
-          f"iterations={len(trace)} -> {args.out}")
-
-
 def _run(args) -> int:
     if args.command == "synth":
         save_fvecs(generate_synthetic(args.n, args.d, args.spread, args.seed),
                    args.out)
         print(f"wrote {args.n} x {args.d} vectors to {args.out}")
     elif args.command == "train":
-        _train_index(args)
+        db = load_vectors(args.data, args.format)
+        qs = load_vectors(args.queries, args.format) if args.queries else None
+        cfg = evalbench.ExperimentConfig(iters=args.iters, lam=args.lam, J=args.j,
+                                         seed=args.seed, preprocess=args.preprocess,
+                                         ridge=args.ridge)
+        save_index(evalbench.build_quip_pipeline(args.method, db, qs, args.k, args.c, cfg),
+                   args.out)
+        print(f"trained {args.method}: n={db.n} K={args.k} C={args.c} -> {args.out}")
     elif args.command == "encode":
         from .index import encode_database
         index = load_index(args.index)
@@ -175,18 +153,16 @@ def _run(args) -> int:
     elif args.command == "hybrid-train":
         from .hybrid import build_hybrid, hybrid_search
         db = load_vectors(args.data, args.format)
-        layout = make_chunk_layout(db.d, args.k)
-        spec, layout = make_preprocess("permutation", args.seed, layout)
-        dbp = apply_preprocess(db, spec)
-        cov = regularize(estimate_subspace_covariances(dbp, layout), 1e-6)
+        spec, dbp, _, cov = evalbench.prepare_training(
+            "quip-cov-x", db, None, args.k,
+            evalbench.ExperimentConfig(seed=args.seed, preprocess="permutation", ridge=1e-6))
         cfg = TrainConfig(K=args.k, C=args.c, seed=args.seed)
         pindex = build_hybrid(dbp, args.partitions, cov, cfg, spec, args.seed)
         np.savez(args.out, centers=pindex.centers,
                  membership=np.array(list(pindex.membership), dtype=object))
         if args.queries:
             qs = load_vectors(args.queries, args.format)
-            qp = apply_preprocess(qs, spec)
-            res, scanned = hybrid_search(pindex, qp.data[0], args.topn, args.probe)
+            res, scanned = hybrid_search(pindex, qs.data[0], args.topn, args.probe)
             print(f"probe={args.probe}: scanned {scanned}/{db.n} candidates "
                   f"for query 0; top id {int(res.ids[0])}")
         print(f"partitioned {db.n} vectors into {args.partitions} -> {args.out}")

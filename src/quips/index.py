@@ -117,16 +117,18 @@ def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
 
 
 def search_top_n(index: QuipIndex, q: np.ndarray, N: int) -> TopNResult:
-    """Preprocess the raw query, build its table, exhaustively score all rows."""
+    """Preprocess the raw query once, then scan the whole index."""
+    return scan_top_n(index, apply_preprocess_rows(q, index.preprocess), N)
+
+
+def scan_top_n(index: QuipIndex, qp: np.ndarray, N: int) -> TopNResult:
+    """Top-N of an already preprocessed query: build its table, score every row."""
     if index.n == 0:
         raise ValueError("empty index")
     if N < 1:
         raise ValueError("N must be >= 1")
-    qp = apply_preprocess_rows(np.asarray(q, dtype=np.float64), index.preprocess)
-    qp = pad_to(qp, index.layout.d_padded)
     table = build_lookup_table(qp, index.codebook)
-    scores = table_scores(table, index.codes.codes)
-    return _rank_top_n(index.ids, scores, N)
+    return _rank_top_n(index.ids, table_scores(table, index.codes.codes), N)
 
 
 def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:

@@ -69,19 +69,23 @@ class ConstraintTriplet:
     neg_id: int
 
 
-def mahalanobis_assign(blocks: np.ndarray, centroids: np.ndarray,
-                       sigma: np.ndarray) -> np.ndarray:
-    """argmin_c (x - U_c)^T Sigma (x - U_c) per row; ties go to the lowest c.
+def _assign_costs(blocks: np.ndarray, centroids: np.ndarray,
+                  sigma: np.ndarray) -> np.ndarray:
+    """(n, C) costs (x - U_c)^T Sigma (x - U_c) less the per-row constant x^T Sigma x.
 
-    The x^T Sigma x term is constant per row and dropped; Sigma U_c and
-    U_c^T Sigma U_c are computed once, so assignment is O(C*l) per point.
+    Sigma U_c and U_c^T Sigma U_c are computed once, so a row costs O(C*l).
     """
     if blocks.shape[1] != centroids.shape[1]:
         raise ValueError("block width does not match centroid width")
     su = centroids @ sigma  # (C, l)
     quad = np.einsum("cl,cl->c", su, centroids)  # U_c^T Sigma U_c
-    costs = quad[None, :] - 2.0 * blocks @ su.T  # (n, C)
-    return np.argmin(costs, axis=1).astype(np.int32)
+    return quad[None, :] - 2.0 * blocks @ su.T
+
+
+def mahalanobis_assign(blocks: np.ndarray, centroids: np.ndarray,
+                       sigma: np.ndarray) -> np.ndarray:
+    """argmin_c (x - U_c)^T Sigma (x - U_c) per row; ties go to the lowest c."""
+    return np.argmin(_assign_costs(blocks, centroids, sigma), axis=1).astype(np.int32)
 
 
 def update_centroids(blocks: np.ndarray, codes: np.ndarray,
@@ -176,19 +180,6 @@ def train_quip(database: DenseVectorSet, cov: SubspaceCovariances,
 # constrained variant
 
 
-def _lookup_tables(query_blocks: list[np.ndarray], cents: list[np.ndarray]) -> list[np.ndarray]:
-    # tables[k][j][c] = q_j^(k) . U_c^(k)
-    return [qb @ c.T for qb, c in zip(query_blocks, cents)]
-
-
-def _quantized_scores(tables: list[np.ndarray], codes: np.ndarray, j: int) -> np.ndarray:
-    """Quantized scores of all database rows for query j."""
-    out = np.zeros(codes.shape[0])
-    for k in range(len(tables)):
-        out += tables[k][j][codes[:, k]]
-    return out
-
-
 def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
                               database: DenseVectorSet, queries: DenseVectorSet,
                               layout: ChunkLayout, J: int,
@@ -197,14 +188,12 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
 
     For each query, pos is the exact argmax over the database; neg is the
     database row with the highest quantized score among those that beat pos's
-    quantized score.
+    quantized score.  Quantized scores come from the index's scorer.
     """
+    from .index import build_lookup_table, table_scores
+
     db = pad_to(database.data, layout.d_padded)
     qd = pad_to(queries.data, layout.d_padded)
-    db_blocks = _blocks_of(database.data, layout)
-    q_blocks = _blocks_of(queries.data, layout)
-    cents = [codebook.centroids[k] for k in range(layout.K)]
-    tables = _lookup_tables(q_blocks, cents)
     exact = qd @ db.T  # (|Q|, n)
     order = np.random.default_rng([seed, 104729]).permutation(queries.n)
     out: list[ConstraintTriplet] = []
@@ -212,7 +201,7 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
         if len(out) >= J:
             break
         pos = int(np.argmax(exact[j]))
-        qs = _quantized_scores(tables, codes.codes, j)
+        qs = table_scores(build_lookup_table(qd[j], codebook), codes.codes)
         viol = np.flatnonzero(qs > qs[pos])
         if viol.size == 0:
             continue
@@ -229,9 +218,7 @@ def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndar
     Vectors appearing in no triplet get exactly the unpenalized assignment.
     query_block holds the mined queries' components in this subspace.
     """
-    su = centroids @ sigma
-    quad = np.einsum("cl,cl->c", su, centroids)
-    costs = quad[None, :] - 2.0 * blocks @ su.T
+    costs = _assign_costs(blocks, centroids, sigma)
     if triplets and lam != 0.0:
         penalty = np.zeros_like(costs)
         for j, trip in enumerate(triplets):
@@ -240,6 +227,19 @@ def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndar
             penalty[trip.pos_id] -= lam * qTu
         costs = costs + penalty
     return np.argmin(costs, axis=1).astype(np.int32)
+
+
+def _hinge_gradient(centroids: np.ndarray, codes: np.ndarray,
+                    triplets: list[ConstraintTriplet], lam: float,
+                    query_block: np.ndarray) -> np.ndarray:
+    """Hinge subgradient for every centroid of one subspace, shape (C, l):
+    lam sum_j q_j (1[neg_j in c] - 1[pos_j in c]), accumulated in triplet order.
+    """
+    grad = np.zeros(centroids.shape)
+    for j, trip in enumerate(triplets):
+        grad[codes[trip.neg_id]] += lam * query_block[j]
+        grad[codes[trip.pos_id]] -= lam * query_block[j]
+    return grad
 
 
 def centroid_gradient(c: int, centroids: np.ndarray, codes: np.ndarray,
@@ -253,11 +253,7 @@ def centroid_gradient(c: int, centroids: np.ndarray, codes: np.ndarray,
     grad = np.zeros(blocks.shape[1])
     if len(members):
         grad = 2.0 * (sigma @ (len(members) * centroids[c] - members.sum(axis=0)))
-    for j, trip in enumerate(triplets):
-        s = float(codes[trip.neg_id] == c) - float(codes[trip.pos_id] == c)
-        if s != 0.0:
-            grad = grad + lam * s * query_block[j]
-    return grad
+    return grad + _hinge_gradient(centroids, codes, triplets, lam, query_block)[c]
 
 
 def penalized_objective(cents: list[np.ndarray], codes: np.ndarray,
@@ -348,10 +344,7 @@ def _opt_update(cents: list[np.ndarray], codes: np.ndarray,
         new, empty = update_centroids(db_blocks[k], codes[:, k], cfg.C)
         new = _reseed_empty(new, empty, db_blocks[k], codes[:, k], cov.matrices[k])
         if triplets and cfg.lam != 0.0:
-            grad = np.zeros_like(new)
-            for j, trip in enumerate(triplets):
-                grad[codes[trip.neg_id, k]] += cfg.lam * q_blocks[k][j]
-                grad[codes[trip.pos_id, k]] -= cfg.lam * q_blocks[k][j]
-            new = new - eta * grad
+            new = new - eta * _hinge_gradient(new, codes[:, k], triplets, cfg.lam,
+                                              q_blocks[k])
         out.append(new)
     return out

@@ -7,7 +7,6 @@ random Hadamard rotation is applied first to spread the norm across blocks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,44 +124,42 @@ def _hadamard_signs(spec: PreprocessSpec) -> np.ndarray:
 
 
 def _fwht(rows: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform along the last axis."""
-    d = rows.shape[-1]
+    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+
+    Each butterfly stage views the rows as (..., d / 2h, 2, h) pairs of
+    half-blocks (a, b) and replaces them with (a + b, a - b); the result is
+    rows @ H for the Sylvester-ordered Hadamard matrix H of size d.
+    """
+    lead, d = rows.shape[:-1], rows.shape[-1]
     h = 1
     while h < d:
-        for start in range(0, d, h * 2):
-            a = rows[..., start : start + h].copy()
-            b = rows[..., start + h : start + 2 * h].copy()
-            rows[..., start : start + h] = a + b
-            rows[..., start + h : start + 2 * h] = a - b
+        pairs = rows.reshape(*lead, d // (2 * h), 2, h)
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        rows = np.stack((a + b, a - b), axis=-2).reshape(*lead, d)
         h *= 2
     return rows
 
 
 def apply_preprocess(vs: DenseVectorSet, spec: PreprocessSpec) -> DenseVectorSet:
-    """Apply the fixed transform; inner products are preserved exactly.
+    """apply_preprocess_rows over a whole set; ids are kept."""
+    return DenseVectorSet(data=apply_preprocess_rows(vs.data, spec), ids=vs.ids.copy())
 
-    Input is zero-padded to spec.d_padded first.
+
+def apply_preprocess_rows(rows: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
+    """Zero-pad rows to spec.d_padded, then apply the fixed transform.
+
+    Inner products are preserved exactly.  Accepts one row or a 2-d array and
+    always returns a new array.
     """
-    data = pad_to(vs.data, spec.d_padded).astype(np.float64, copy=True)
+    rows = np.asarray(rows, dtype=np.float64)
+    data = pad_to(np.atleast_2d(rows), spec.d_padded)
     if spec.kind == "identity":
-        pass
+        data = data.copy()
     elif spec.kind == "permutation":
         data = data[:, permutation_for(spec)]
     else:
         data = _fwht(data * _hadamard_signs(spec)) / np.sqrt(spec.d_padded)
-    return DenseVectorSet(data=data, ids=vs.ids.copy())
-
-
-def apply_preprocess_rows(rows: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
-    """As apply_preprocess, for bare row arrays (e.g. a single query)."""
-    one = rows.ndim == 1
-    data = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    data = pad_to(data, spec.d_padded).copy()
-    if spec.kind == "permutation":
-        data = data[:, permutation_for(spec)]
-    elif spec.kind == "hadamard_rotation":
-        data = _fwht(data * _hadamard_signs(spec)) / np.sqrt(spec.d_padded)
-    return data[0] if one else data
+    return data[0] if rows.ndim == 1 else data
 
 
 def balancedness(v: np.ndarray, layout: ChunkLayout) -> float:
@@ -201,33 +198,36 @@ def load_vectors(path: str, fmt: str, id_column: bool = False) -> DenseVectorSet
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _vector_set(path: str, data: np.ndarray, ids: np.ndarray) -> DenseVectorSet:
+    """DenseVectorSet whose validation errors name the file they came from."""
+    try:
+        return DenseVectorSet(data=data, ids=ids)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
 def _load_fvecs(path: str) -> DenseVectorSet:
+    """All rows must repeat the first row's header d, so the file is viewed
+    once as (n, d + 1) int32 records: header, then d float32 bit patterns."""
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0:
         raise DataError(f"{path}: no vectors")
-    rows = []
-    off = 0
-    row = 0
-    while off < raw.size:
-        if off + 4 > raw.size:
-            raise DataError(f"{path}: truncated header at row {row}")
-        d = int(raw[off : off + 4].view("<i4")[0])
-        if d <= 0:
-            raise DataError(f"{path}: bad dimensionality {d} at row {row}")
-        end = off + 4 + 4 * d
-        if end > raw.size:
-            raise DataError(f"{path}: truncated vector at row {row}")
-        rows.append(raw[off + 4 : end].view("<f4").astype(np.float64))
-        off = end
-        row += 1
-    dims = {len(r) for r in rows}
-    if len(dims) != 1:
-        raise DataError(f"{path}: inconsistent dimensionality {sorted(dims)}")
-    data = np.vstack(rows)
-    for i in range(len(rows)):
-        if not np.all(np.isfinite(data[i])):
-            raise DataError(f"{path}: non-finite entry at row {i}")
-    return DenseVectorSet(data=data, ids=np.arange(len(rows), dtype=np.int64))
+    if raw.size < 4:
+        raise DataError(f"{path}: truncated header at row 0")
+    d = int(raw[:4].view("<i4")[0])
+    if d <= 0:
+        raise DataError(f"{path}: bad dimensionality {d} at row 0")
+    n, tail = divmod(raw.size, 4 * (d + 1))
+    records = raw[: raw.size - tail].view("<i4").reshape(n, d + 1)
+    bad = np.flatnonzero(records[:, 0] != d)
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(f"{path}: row {row} has dimensionality {records[row, 0]}, "
+                        f"expected {d}")
+    if tail:
+        raise DataError(f"{path}: truncated vector at row {n}")
+    data = records[:, 1:].view("<f4").astype(np.float64)
+    return _vector_set(path, data, np.arange(n, dtype=np.int64))
 
 
 def save_fvecs(vs: DenseVectorSet, path: str) -> None:
@@ -258,9 +258,5 @@ def _load_csv(path: str, id_column: bool) -> DenseVectorSet:
     if len(widths) != 1:
         bad = next(i for i, r in enumerate(rows) if len(r) != len(rows[0]))
         raise DataError(f"{path}: row {bad} has {len(rows[bad])} fields, expected {len(rows[0])}")
-    data = np.asarray(rows, dtype=np.float64)
-    for i in range(len(rows)):
-        if not np.all(np.isfinite(data[i])):
-            raise DataError(f"{path}: non-finite entry at row {i}")
     idarr = np.asarray(ids, dtype=np.int64) if id_column else np.arange(len(rows), dtype=np.int64)
-    return DenseVectorSet(data=data, ids=idarr)
+    return _vector_set(path, np.asarray(rows, dtype=np.float64), idarr)

@@ -6,7 +6,8 @@ from quips.hybrid import (assign_query_partitions, build_hybrid, hybrid_search,
                           train_partitioner)
 from quips.index import build_index, search_top_n
 from quips.train import TrainConfig, train_quip
-from quips.vecstore import (DenseVectorSet, PreprocessSpec, make_chunk_layout)
+from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
+                            make_chunk_layout)
 
 
 def make_set(data, ids=None):
@@ -177,3 +178,41 @@ class TestHybridSearch:
             hybrid_search(pindex, self.queries[0], N=5, probe=0)
         with pytest.raises(ValueError):
             hybrid_search(pindex, self.queries[0], N=5, probe=4)
+
+
+class TestHybridSearchPreprocessed:
+    """Partition centers live in preprocessed space; queries arrive raw."""
+
+    def setup_method(self):
+        data, self.labels = blob_data(seed=11, per=50, d=8, centers=4, spread=0.05)
+        self.spec = PreprocessSpec(kind="permutation", seed=3, d_padded=8)
+        assert not np.array_equal(np.random.default_rng(3).permutation(8), np.arange(8))
+        self.raw = make_set(data)
+        self.dbp = apply_preprocess(self.raw, self.spec)
+        layout = make_chunk_layout(8, 4)
+        self.cov = regularize(estimate_subspace_covariances(self.dbp, layout), 1e-6)
+        self.cfg = TrainConfig(K=4, C=16, T=15, seed=0)
+        rng = np.random.default_rng(12)
+        picks = rng.choice(len(data), 12, replace=False)
+        self.queries = data[picks] + 0.01 * rng.standard_normal((12, 8))
+        self.query_labels = self.labels[picks]
+
+    def test_probe_one_scans_the_query_blob(self):
+        pindex = build_hybrid(self.dbp, P=4, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=0)
+        for q, label in zip(self.queries, self.query_labels):
+            res, scanned = hybrid_search(pindex, q, N=5, probe=1)
+            assert scanned == 50
+            assert np.all(self.labels[res.ids] == label)
+
+    def test_full_probe_matches_flat(self):
+        cb, codes, _ = train_quip(self.dbp, self.cov, self.cfg)
+        flat = build_index(self.dbp, cb, codes, self.spec, self.cov)
+        pindex = build_hybrid(self.dbp, P=4, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=0,
+                              shared_codebook=cb, shared_codes=codes)
+        for q in self.queries:
+            res, _ = hybrid_search(pindex, q, N=10, probe=4)
+            ref = search_top_n(flat, q, 10)
+            np.testing.assert_array_equal(res.ids, ref.ids)
+            np.testing.assert_array_equal(res.scores, ref.scores)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quips.vecstore import (DataError, DenseVectorSet, apply_preprocess,
+from quips.vecstore import (DataError, DenseVectorSet, _fwht, apply_preprocess,
                             balancedness, generate_synthetic, load_vectors,
                             make_chunk_layout, make_preprocess, pad_to,
                             save_fvecs, PreprocessSpec)
@@ -32,6 +32,30 @@ class TestFvecs:
         path = tmp_path / "bad.fvecs"
         path.write_bytes(np.array([3], dtype="<i4").tobytes() + b"\x00" * 4)
         with pytest.raises(DataError, match="truncated"):
+            load_vectors(str(path), "fvecs")
+
+    def test_ragged_row_named(self, tmp_path):
+        path = tmp_path / "ragged.fvecs"
+        rows = [np.array([3], dtype="<i4").tobytes() + np.ones(3, dtype="<f4").tobytes(),
+                np.array([4], dtype="<i4").tobytes() + np.ones(4, dtype="<f4").tobytes(),
+                np.array([3], dtype="<i4").tobytes() + np.ones(3, dtype="<f4").tobytes()]
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(DataError, match="row 1 has dimensionality 4, expected 3"):
+            load_vectors(str(path), "fvecs")
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_nonpositive_dimensionality(self, tmp_path, d):
+        path = tmp_path / "bad.fvecs"
+        path.write_bytes(np.array([d], dtype="<i4").tobytes() + b"\x00" * 8)
+        with pytest.raises(DataError, match=f"bad dimensionality {d}"):
+            load_vectors(str(path), "fvecs")
+
+    def test_non_finite_names_file_and_row(self, tmp_path):
+        path = tmp_path / "nan.fvecs"
+        header = np.array([2], dtype="<i4").tobytes()
+        path.write_bytes(header + np.array([1, 2], dtype="<f4").tobytes()
+                         + header + np.array([np.inf, 0], dtype="<f4").tobytes())
+        with pytest.raises(DataError, match=r"nan\.fvecs: non-finite entry at row 1"):
             load_vectors(str(path), "fvecs")
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -128,6 +152,16 @@ class TestPreprocess:
             tu = apply_preprocess(make_set([u]), spec).data[0]
             tv = apply_preprocess(make_set([v]), spec).data[0]
             assert tu @ tv == pytest.approx(u @ v, abs=1e-6 * np.linalg.norm(u) * np.linalg.norm(v))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
+    def test_fwht_is_sylvester_matrix_product(self, d):
+        sylvester = np.ones((1, 1))
+        while sylvester.shape[0] < d:
+            sylvester = np.kron(sylvester, [[1.0, 1.0], [1.0, -1.0]])
+        # small integers keep every partial sum exact, so equality is bitwise
+        rows = np.random.default_rng(d).integers(-9, 10, size=(5, d)).astype(np.float64)
+        np.testing.assert_array_equal(_fwht(rows.copy()), rows @ sylvester)
+        np.testing.assert_array_equal(_fwht(rows[0].copy()), rows[0] @ sylvester)
 
     def test_hadamard_requires_pow2(self):
         with pytest.raises(ValueError):
