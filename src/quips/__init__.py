@@ -5,7 +5,7 @@ from .covariance import SubspaceCovariances, estimate_subspace_covariances, regu
 from .index import (QueryLookupTable, QuipIndex, TopNResult,
                     approximate_inner_product, build_index, build_lookup_table,
                     encode_database, exact_top_n, load_index, save_index,
-                    search_top_n)
+                    search_batch, search_top_n)
 from .train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                     train_quip, train_quip_opt)
 from .vecstore import (ChunkLayout, DenseVectorSet, PreprocessSpec,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evalbench
-from .index import build_index, load_index, save_index, search_top_n
+from .index import build_index, load_index, save_index, search_batch
 from .train import TrainConfig
 from .vecstore import DataError, apply_preprocess, generate_synthetic, load_vectors, save_fvecs
 
@@ -119,12 +119,15 @@ def _run(args) -> int:
     elif args.command == "search":
         index = load_index(args.index)
         qs = load_vectors(args.queries, args.format)
+        if qs.d != index.layout.original_d:
+            raise DataError(f"{args.queries}: queries have {qs.d} dims, "
+                            f"the index wants {index.layout.original_d}")
+        ids, scores = search_batch(index, qs.data, args.topn)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["query", "rank", "id", "score"])
             for j in range(qs.n):
-                res = search_top_n(index, qs.data[j], args.topn)
-                for r, (i, s) in enumerate(zip(res.ids, res.scores)):
+                for r, (i, s) in enumerate(zip(ids[j], scores[j])):
                     w.writerow([j, r, int(i), f"{s:.9g}"])
         print(f"searched {qs.n} queries -> {args.out}")
     elif args.command == "eval":

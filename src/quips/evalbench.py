@@ -15,8 +15,8 @@ import numpy as np
 
 from . import lsh
 from .covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from .index import (QuipIndex, build_index, build_lookup_table, exact_top_n,
-                    search_top_n, table_scores)
+from .index import (QuipIndex, build_index, exact_top_n, search_batch,
+                    stack_lookup_tables, table_scores)
 from .train import TrainConfig, train_quip, train_quip_opt
 from .vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
                        make_chunk_layout, make_preprocess, pad_to)
@@ -204,10 +204,7 @@ def build_quip_pipeline(method: str, database: DenseVectorSet,
 
 def quip_rankings(index: QuipIndex, queries: DenseVectorSet) -> np.ndarray:
     """Full descending-score id ranking per query."""
-    out = np.empty((queries.n, index.n), dtype=np.int64)
-    for j in range(queries.n):
-        out[j] = search_top_n(index, queries.data[j], index.n).ids
-    return out
+    return search_batch(index, queries.data, index.n)[0]
 
 
 def lsh_rankings(method: str, database: DenseVectorSet, queries: DenseVectorSet,
@@ -314,10 +311,7 @@ def _pair_errors(index: QuipIndex, queries: DenseVectorSet,
     """
     qp = pad_to(queries.data, index.layout.d_padded)
     exact = qp @ pad_to(db_data, index.layout.d_padded).T
-    approx = np.empty_like(exact)
-    for j in range(queries.n):
-        table = build_lookup_table(qp[j], index.codebook)
-        approx[j] = table_scores(table, index.codes.codes)
+    approx = table_scores(stack_lookup_tables(qp, index.codebook), index.codes.codes)
     return exact, approx
 
 

@@ -2,7 +2,7 @@
 
 Partitions are learned with plain Euclidean k-means; at query time the probe
 partitions with the largest dot product between query and partition center are
-scanned and their per-partition results merged.
+scanned and one top-N selection runs over the union of their scores.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SubspaceCovariances
+from .index import (QueryLookupTable, QuipIndex, TopNResult, _rank_top_n, build_index,
+                    build_lookup_table, encode_database, table_scores)
 # search_top_n is unused here but stays bound: quipsbench's tracer test checks
 # that it is wrapped in this namespace too.
-from .index import (QuipIndex, TopNResult, _rank_top_n, build_index,  # noqa: F401
-                    encode_database, scan_top_n, search_top_n)
+from .index import search_top_n  # noqa: F401
 from .train import Codebook, CodeMatrix, TrainConfig, train_quip
 from .vecstore import DenseVectorSet, PreprocessSpec, apply_preprocess_rows, pad_to
 
@@ -87,14 +88,24 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
     """Partition, then quantize each partition.
 
     With shared_codebook, every partition is encoded against the one codebook
-    (probe=P then reproduces a flat scan over those codes exactly); pass the
-    flat scan's shared_codes to reuse them verbatim instead of re-encoding.
-    Otherwise each partition trains its own codebook on its members using the
-    global covariance.
+    (probe=P then reproduces a flat scan over those codes exactly), and every
+    subindex holds the same float32 Codebook object; pass the flat scan's
+    shared_codes to reuse them verbatim instead of re-encoding.  Otherwise
+    each partition trains its own codebook on its members using the global
+    covariance, which needs at least C members in every partition.
     """
     if shared_codes is not None and shared_codebook is None:
         raise ValueError("shared_codes requires shared_codebook")
     centers, membership = train_partitioner(database, P, seed)
+    if shared_codebook is None:
+        for p, members in enumerate(membership):
+            if len(members) < cfg.C:
+                raise ValueError(
+                    f"partition {p} has {len(members)} member(s), fewer than C={cfg.C} "
+                    "needed to train its codebook; lower --partitions or --c")
+    else:
+        shared_codebook = Codebook(layout=shared_codebook.layout,
+                                   centroids=shared_codebook.centroids.astype(np.float32))
     subindexes = []
     for p, members in enumerate(membership):
         part = DenseVectorSet(data=database.data[members],
@@ -124,12 +135,13 @@ def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
 
 def hybrid_search(pindex: PartitionIndex, q: np.ndarray, N: int,
                   probe: int) -> tuple[TopNResult, int]:
-    """Merged top-N of a raw query over the probed partitions, plus the
-    candidate count scanned.
+    """Top-N of a raw query over the probed partitions, plus the candidate
+    count scanned.
 
     The query is preprocessed once with the subindexes' shared spec; that
-    vector both picks the partitions (whose centers live in preprocessed
-    space) and is scanned in each of them.
+    vector picks the partitions (whose centers live in preprocessed space)
+    and builds one lookup table per distinct codebook among them.  One
+    selection runs over the union of the probed partitions' scores.
     """
     if pindex.P == 0:
         raise ValueError("empty index")
@@ -137,7 +149,12 @@ def hybrid_search(pindex: PartitionIndex, q: np.ndarray, N: int,
         raise ValueError(f"probe must be in [1, {pindex.P}]")
     qp = apply_preprocess_rows(q, pindex.subindexes[0].preprocess)
     subs = [pindex.subindexes[p] for p in assign_query_partitions(qp, pindex.centers, probe)]
-    results = [scan_top_n(sub, qp, N) for sub in subs]
-    ids = np.concatenate([r.ids for r in results])
-    scores = np.concatenate([r.scores for r in results])
-    return _rank_top_n(ids, scores, N), sum(sub.n for sub in subs)
+    tables: dict[int, QueryLookupTable] = {}  # by codebook identity
+    scores = []
+    for sub in subs:
+        key = id(sub.codebook)
+        if key not in tables:
+            tables[key] = build_lookup_table(qp, sub.codebook)
+        scores.append(table_scores(tables[key], sub.codes.codes))
+    ids = np.concatenate([sub.ids for sub in subs])
+    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)

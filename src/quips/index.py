@@ -40,7 +40,7 @@ class QuipIndex:
 
 @dataclass(frozen=True)
 class QueryLookupTable:
-    values: np.ndarray  # (K, C) float64
+    values: np.ndarray  # (K, C) float64 for one query; (K, C, B) for a stacked batch
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,29 @@ class TopNResult:
     scores: np.ndarray  # (<=N,) float64
 
 
+# A scan tile holds about this many partial scores (rows x queries), so the
+# tile and the rows gathered into it stay in cache while K tables are added.
+_TILE_SCORES = 1 << 15
+# Queries scanned together are capped so their (B, n) scores stay near 64 MB.
+_BLOCK_SCORES = 1 << 23
+
+
 def _rank_top_n(ids: np.ndarray, scores: np.ndarray, N: int) -> TopNResult:
-    order = np.lexsort((ids, -scores))[:N]
+    """The N best rows by score descending, then id ascending.
+
+    A partition finds the N-th best score; only rows scoring at or above it
+    are sorted, so every row tied at the cut competes on id.  NaN ranks below
+    every number here but partitions above them, so a NaN among the N
+    partitioned best sends the query to the full sort.
+    """
+    n, order = len(scores), None
+    if N < n:
+        best = np.partition(scores, n - N)[n - N:]
+        if not np.isnan(best).any():
+            rows = np.flatnonzero(scores >= best[0])
+            order = rows[np.lexsort((ids[rows], -scores[rows]))[:N]]
+    if order is None:
+        order = np.lexsort((ids, -scores))[:N]
     return TopNResult(ids=ids[order].astype(np.int64), scores=scores[order])
 
 
@@ -61,12 +82,19 @@ def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
     """Freeze trained artifacts into a searchable index.
 
     Centroids are cast to float32 up front so in-memory and reloaded indexes
-    score bit-identically.
+    score bit-identically; a codebook that is float32 already is shared, not
+    copied.  Codes are held as code_dtype(C).
     """
-    cb = Codebook(layout=codebook.layout,
-                  centroids=codebook.centroids.astype(np.float32))
-    return QuipIndex(codebook=cb, codes=codes, preprocess=preprocess,
-                     layout=codebook.layout, ids=database.ids.copy(), cov=cov)
+    cb = codebook
+    if cb.centroids.dtype != np.float32:
+        cb = Codebook(layout=codebook.layout,
+                      centroids=codebook.centroids.astype(np.float32))
+    raw = codes.codes
+    if raw.size and (raw.min() < 0 or raw.max() >= cb.C):
+        raise ValueError(f"codes must lie in [0, {cb.C})")
+    return QuipIndex(codebook=cb, codes=CodeMatrix(codes=raw.astype(code_dtype(cb.C))),
+                     preprocess=preprocess, layout=codebook.layout,
+                     ids=database.ids.copy(), cov=cov)
 
 
 def encode_database(database: DenseVectorSet, codebook: Codebook,
@@ -96,6 +124,13 @@ def build_lookup_table(q: np.ndarray, codebook: Codebook) -> QueryLookupTable:
     return QueryLookupTable(values=values)
 
 
+def stack_lookup_tables(Qp: np.ndarray, codebook: Codebook) -> QueryLookupTable:
+    """One (K, C, B) table for B preprocessed queries, stacked from per-query
+    tables: a single GEMM over the batch would round differently."""
+    return QueryLookupTable(values=np.stack(
+        [build_lookup_table(q, codebook).values for q in Qp], axis=-1))
+
+
 def approximate_inner_product(table: QueryLookupTable, code_row: np.ndarray) -> float:
     """Sum of table entries selected by code_row, in ascending subspace order."""
     K, C = table.values.shape
@@ -109,26 +144,60 @@ def approximate_inner_product(table: QueryLookupTable, code_row: np.ndarray) -> 
 
 
 def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
-    """All rows' approximate scores; same accumulation order as the scalar path."""
-    scores = np.zeros(codes.shape[0])
-    for k in range(table.values.shape[0]):
-        scores += table.values[k][codes[:, k]]
-    return scores
+    """Approximate scores of every code row: (n,) for a (K, C) table, (B, n)
+    for a stacked (K, C, B) table.
+
+    Rows are scanned in tiles; each tile starts at 0.0 and adds the K
+    subspaces in ascending order, so every score equals the scalar
+    approximate_inner_product bit for bit.
+    """
+    values = table.values if table.values.ndim == 3 else table.values[:, :, None]
+    K, _, B = values.shape
+    n = codes.shape[0]
+    out = np.empty((B, n))
+    rows = max(1, _TILE_SCORES // B)
+    acc = np.empty((min(rows, n), B))
+    for lo in range(0, n, rows):
+        tile = codes[lo:lo + rows]
+        a = acc[:len(tile)]
+        a.fill(0.0)
+        for k in range(K):
+            a += np.take(values[k], tile[:, k], axis=0)
+        out[:, lo:lo + rows] = a.T
+    return out if table.values.ndim == 3 else out[0]
 
 
-def search_top_n(index: QuipIndex, q: np.ndarray, N: int) -> TopNResult:
-    """Preprocess the raw query once, then scan the whole index."""
-    return scan_top_n(index, apply_preprocess_rows(q, index.preprocess), N)
+def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-N of every raw query row of Q (B, d): ids and scores, each
+    (B, min(N, n)); row b equals search_top_n(index, Q[b], N) bit for bit.
 
-
-def scan_top_n(index: QuipIndex, qp: np.ndarray, N: int) -> TopNResult:
-    """Top-N of an already preprocessed query: build its table, score every row."""
+    The batch is preprocessed once; each block of queries gets one stacked
+    table and one scan of the codes, then a selection per query.
+    """
     if index.n == 0:
         raise ValueError("empty index")
     if N < 1:
         raise ValueError("N must be >= 1")
-    table = build_lookup_table(qp, index.codebook)
-    return _rank_top_n(index.ids, table_scores(table, index.codes.codes), N)
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2:
+        raise ValueError(f"queries must be a 2-d array; got {Q.ndim}-d")
+    Qp = apply_preprocess_rows(Q, index.preprocess)
+    m = min(N, index.n)
+    ids = np.empty((len(Qp), m), dtype=np.int64)
+    scores = np.empty((len(Qp), m))
+    block = max(1, _BLOCK_SCORES // index.n)
+    for lo in range(0, len(Qp), block):
+        table = stack_lookup_tables(Qp[lo:lo + block], index.codebook)
+        for b, row in enumerate(table_scores(table, index.codes.codes), start=lo):
+            top = _rank_top_n(index.ids, row, N)
+            ids[b], scores[b] = top.ids, top.scores
+    return ids, scores
+
+
+def search_top_n(index: QuipIndex, q: np.ndarray, N: int) -> TopNResult:
+    """Top-N of one raw query: a batch of one."""
+    ids, scores = search_batch(index, np.atleast_2d(q), N)
+    return TopNResult(ids=ids[0], scores=scores[0])
 
 
 def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
@@ -225,8 +294,7 @@ def load_index(path: str) -> QuipIndex:
     codebook = Codebook(layout=layout, centroids=cents)
     payload, off = _read_section(buf, off)
     n, C = struct.unpack_from("<IH", payload)
-    codes = np.frombuffer(payload[6:], dtype=code_dtype(C)).reshape(n, K)
-    codes = codes.astype(np.int32)
+    codes = np.frombuffer(payload[6:], dtype=code_dtype(C)).reshape(n, K).copy()
     payload, off = _read_section(buf, off)
     ids = np.frombuffer(payload, dtype="<i8").astype(np.int64)
     return QuipIndex(codebook=codebook, codes=CodeMatrix(codes=codes),

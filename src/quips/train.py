@@ -35,7 +35,7 @@ class Codebook:
 class CodeMatrix:
     """One centroid index per (vector, subspace)."""
 
-    codes: np.ndarray  # (n, K) int32
+    codes: np.ndarray  # (n, K) ints: int32 from training, code_dtype(C) in an index
 
     @property
     def n(self) -> int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quips.cli import main
-from quips.index import load_index
+from quips.index import load_index, search_top_n
 from quips.vecstore import load_vectors
 
 
@@ -94,6 +94,20 @@ class TestEncodeSearch:
         q0 = [r for r in rows if r["query"] == "0"]
         scores = [float(r["score"]) for r in q0]
         assert scores == sorted(scores, reverse=True)
+        loaded, queries = load_index(index), load_vectors(qs, "fvecs")
+        for j, q in enumerate(queries.data):
+            ids = [int(r["id"]) for r in rows if r["query"] == str(j)]
+            assert ids == search_top_n(loaded, q, 5).ids.tolist()
+
+    def test_search_rejects_wrong_query_width(self, tmp_path, vec_files, capsys):
+        db, _ = vec_files
+        index = train_small(tmp_path, db)
+        narrow = str(tmp_path / "narrow.fvecs")
+        assert main(["synth", "--n", "3", "--d", "4", "--out", narrow]) == 0
+        out = str(tmp_path / "hits.csv")
+        assert main(["search", "--index", index, "--queries", narrow,
+                     "--out", out]) == 2
+        assert "4 dims" in capsys.readouterr().err
 
     def test_encode_new_database(self, tmp_path, vec_files):
         db, _ = vec_files
@@ -172,6 +186,17 @@ class TestHybridTrain:
         assert arc["centers"].shape[0] == 4
         covered = np.sort(np.concatenate(list(arc["membership"])))
         np.testing.assert_array_equal(covered, np.arange(200))
+
+
+    def test_partition_smaller_than_C_is_usage_error(self, tmp_path, capsys):
+        db = str(tmp_path / "db.fvecs")
+        assert main(["synth", "--n", "3000", "--d", "16", "--seed", "0",
+                     "--out", db]) == 0
+        assert main(["hybrid-train", "--data", db, "--partitions", "20",
+                     "--c", "16", "--k", "4", "--out", str(tmp_path / "p.npz")]) == 1
+        err = capsys.readouterr().err
+        assert "member(s), fewer than C=16" in err and "--partitions" in err
+        assert "need n >= C" not in err
 
 
 class TestUsage:

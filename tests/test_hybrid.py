@@ -125,6 +125,40 @@ class TestHybridSearch:
             np.testing.assert_array_equal(res.scores, ref.scores)
             assert scanned == 200
 
+    def test_shared_codebook_is_one_float32_object(self):
+        cb, codes, _ = train_quip(self.vs, self.cov, self.cfg)
+        for shared_codes in (None, codes):
+            pindex = build_hybrid(self.vs, P=5, cov=self.cov, cfg=self.cfg,
+                                  preprocess=self.spec, seed=1, shared_codebook=cb,
+                                  shared_codes=shared_codes)
+            first = pindex.subindexes[0].codebook
+            assert all(sub.codebook is first for sub in pindex.subindexes)
+            assert first.centroids.dtype == np.float32
+
+    def test_own_codebooks_equal_per_partition_merge(self):
+        pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=5)
+        assert len({id(sub.codebook) for sub in pindex.subindexes}) == 4
+        for q in self.queries:
+            for probe in (1, 2, 3):
+                res, _ = hybrid_search(pindex, q, N=10, probe=probe)
+                # the merge it replaced: top-N per probed partition, then top-N
+                parts = [pindex.subindexes[p]
+                         for p in assign_query_partitions(q, pindex.centers, probe)]
+                tops = [search_top_n(sub, q, 10) for sub in parts]
+                ids = np.concatenate([t.ids for t in tops])
+                scores = np.concatenate([t.scores for t in tops])
+                order = np.lexsort((ids, -scores))[:10]
+                np.testing.assert_array_equal(res.ids, ids[order])
+                assert res.scores.tobytes() == scores[order].tobytes()
+
+    def test_partition_smaller_than_C_is_named(self):
+        big = TrainConfig(K=4, C=64, T=2, seed=0)
+        with pytest.raises(ValueError,
+                           match=r"partition \d+ has \d+ member\(s\), fewer than C=64"):
+            build_hybrid(self.vs, P=6, cov=self.cov, cfg=big, preprocess=self.spec,
+                         seed=2)
+
     def test_scanned_count_is_sum_of_probed_sizes(self):
         pindex = build_hybrid(self.vs, P=6, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=2)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quips.index
 from quips.covariance import estimate_subspace_covariances, regularize
-from quips.index import (QueryLookupTable, approximate_inner_product,
-                         build_index, build_lookup_table, encode_database,
+from quips.index import (QueryLookupTable, _rank_top_n, approximate_inner_product,
+                         build_index, build_lookup_table, code_dtype, encode_database,
                          exact_top_n, index_to_bytes, load_index,
-                         predicted_file_size, save_index, search_top_n,
-                         table_scores)
+                         predicted_file_size, save_index, search_batch, search_top_n,
+                         stack_lookup_tables, table_scores)
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import DenseVectorSet, PreprocessSpec, make_chunk_layout
+from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess_rows,
+                            make_chunk_layout, make_preprocess)
 
 
 def make_set(data, ids=None):
@@ -170,6 +174,103 @@ class TestSearch:
             search_top_n(index, np.ones(4), 0)
 
 
+SPECIAL_SCORES = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan]
+
+
+class TestRankTopN:
+    """The partial selector against the full lexsort it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_full_lexsort(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        # a pool of 1-4 values makes heavy ties, all-equal when it has one
+        pool = data.draw(st.lists(st.sampled_from(SPECIAL_SCORES)
+                                  | st.floats(-4.0, 4.0, width=16),
+                                  min_size=1, max_size=4), label="pool")
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                             max_size=n), label="scores"))
+        ids = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                                          max_size=n, unique=True), label="ids"),
+                       dtype=np.int64)
+        N = data.draw(st.integers(1, n + 3), label="N")
+        order = np.lexsort((ids, -scores))[:N]
+        res = _rank_top_n(ids, scores, N)
+        np.testing.assert_array_equal(res.ids, ids[order])
+        assert res.scores.tobytes() == scores[order].tobytes()
+        assert res.ids.dtype == np.int64
+
+    def test_ties_straddling_the_cut_break_by_id(self):
+        scores = np.array([1.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.0])
+        ids = np.array([9, 8, 7, 1, 5, 3, 2])
+        res = _rank_top_n(ids, scores, 3)
+        np.testing.assert_array_equal(res.ids, [8, 1, 3])
+        np.testing.assert_array_equal(res.scores, [3.0, 2.0, 2.0])
+
+
+def _index_for(kind, C, n=300, d=12, K=4, seed=0):
+    rng = np.random.default_rng(seed)
+    spec, layout = make_preprocess(kind, seed, make_chunk_layout(d, K))
+    vs = make_set(rng.standard_normal((n, layout.d_padded)),
+                  ids=rng.permutation(n) + 1000)
+    cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
+    cb = Codebook(layout=layout, centroids=rng.standard_normal((K, C, layout.l)))
+    codes = CodeMatrix(codes=rng.integers(0, C, size=(n, K)).astype(np.int32))
+    return build_index(vs, cb, codes, spec, cov)
+
+
+class TestSearchBatch:
+    @pytest.mark.parametrize("tiny_tiles", [False, True])
+    @pytest.mark.parametrize("C", [16, 300])
+    @pytest.mark.parametrize("kind", ["identity", "permutation", "hadamard_rotation"])
+    def test_rows_equal_single_searches(self, kind, C, tiny_tiles, monkeypatch):
+        if tiny_tiles:  # many row tiles and query blocks, ragged last ones
+            monkeypatch.setattr(quips.index, "_TILE_SCORES", 50)
+            monkeypatch.setattr(quips.index, "_BLOCK_SCORES", 1000)
+        index = _index_for(kind, C)
+        assert index.codes.codes.dtype == code_dtype(C)
+        Q = np.random.default_rng(1).standard_normal((9, 12))
+        for N in (1, 10, index.n + 5):
+            ids, scores = search_batch(index, Q, N)
+            assert ids.shape == scores.shape == (9, min(N, index.n))
+            for b, q in enumerate(Q):
+                one = search_top_n(index, q, N)
+                np.testing.assert_array_equal(ids[b], one.ids)
+                assert scores[b].tobytes() == one.scores.tobytes()
+
+    def test_stacked_table_matches_scalar_oracle(self, monkeypatch):
+        monkeypatch.setattr(quips.index, "_TILE_SCORES", 50)
+        index = _index_for("permutation", 16, n=120)
+        Qp = apply_preprocess_rows(np.random.default_rng(2).standard_normal((7, 12)),
+                                   index.preprocess)
+        scores = table_scores(stack_lookup_tables(Qp, index.codebook), index.codes.codes)
+        assert scores.shape == (7, 120)
+        for b, qp in enumerate(Qp):
+            t = build_lookup_table(qp, index.codebook)
+            for i, row in enumerate(index.codes.codes):
+                assert scores[b, i] == approximate_inner_product(t, row)
+
+    def test_rejects_bad_arguments(self):
+        index = _index_for("identity", 16, n=20)
+        with pytest.raises(ValueError):
+            search_batch(index, np.ones((2, 12)), 0)
+        with pytest.raises(ValueError):
+            search_batch(index, np.ones((2, 3, 12)), 5)
+
+    def test_build_index_rejects_out_of_range_codes(self):
+        rng = np.random.default_rng(3)
+        vs = make_set(rng.standard_normal((4, 4)))
+        layout = make_chunk_layout(4, 2)
+        cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
+        cb = Codebook(layout=layout, centroids=rng.standard_normal((2, 8, 2)))
+        spec = PreprocessSpec(kind="identity", seed=0, d_padded=4)
+        for bad in (8, -1):
+            codes = np.zeros((4, 2), dtype=np.int32)
+            codes[2, 1] = bad
+            with pytest.raises(ValueError, match="codes"):
+                build_index(vs, cb, CodeMatrix(codes=codes), spec, cov)
+
+
 class TestExactTopN:
     def test_scaled_copy_wins(self):
         vs = make_set([[1.0, 0.0], [2.0, 0.0]])
@@ -220,6 +321,19 @@ class TestPersistence:
             b = search_top_n(loaded, q, 10)
             np.testing.assert_array_equal(a.ids, b.ids)
             np.testing.assert_array_equal(a.scores, b.scores)
+
+    @pytest.mark.parametrize("C", [16, 300])
+    def test_load_keeps_narrow_codes(self, tmp_path, C):
+        index = _index_for("permutation", C)
+        path = str(tmp_path / "i.quip")
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.codes.codes.dtype == code_dtype(C)
+        np.testing.assert_array_equal(loaded.codes.codes, index.codes.codes)
+        Q = np.random.default_rng(4).standard_normal((6, 12))
+        a, b = search_batch(index, Q, 10), search_batch(loaded, Q, 10)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_file_size_matches_layout(self, tmp_path):
         _, index = random_index(40, 8, 4, 16, seed=14)
