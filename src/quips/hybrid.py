@@ -54,31 +54,46 @@ def _kmeanspp_init(data: np.ndarray, P: int, rng: np.random.Generator) -> np.nda
 
 def train_partitioner(database: DenseVectorSet, P: int, seed: int,
                       iters: int = 25) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Seeded Lloyd k-means; empty clusters are repaired by splitting the largest."""
+    """Seeded Lloyd k-means; empty clusters are repaired by splitting the largest.
+
+    Row norms and 2x are computed once and the (n, P) distances reuse one
+    buffer; each cluster's mean runs over its members in ascending row order,
+    taken from one stable sort of the assignment.
+    """
     n = database.n
     if n < P:
         raise ValueError(f"need n >= P; got n={n}, P={P}")
     data = database.data
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(data, P, rng)
+    norms = np.sum(data ** 2, axis=1, keepdims=True)
+    twice = 2.0 * data
+    d2 = np.empty((n, P))
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(iters):
-        d2 = (np.sum(data ** 2, axis=1, keepdims=True)
-              - 2.0 * data @ centers.T + np.sum(centers ** 2, axis=1))
+        # |x|^2 - 2 x.c + |c|^2, in that order
+        np.subtract(norms, np.matmul(twice, centers.T, out=d2), out=d2)
+        d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
-        for p in range(P):
-            if not np.any(new_assign == p):
-                big = np.argmax(np.bincount(new_assign, minlength=P))
-                members = np.flatnonzero(new_assign == big)
-                far = members[np.argmax(d2[members, big])]
-                new_assign[far] = p
+        counts = np.bincount(new_assign, minlength=P)
+        # moving one row out of the largest cluster never empties it
+        for p in np.flatnonzero(counts == 0):
+            big = np.argmax(counts)
+            members = np.flatnonzero(new_assign == big)
+            new_assign[members[np.argmax(d2[members, big])]] = p
+            counts[big] -= 1
+            counts[p] += 1
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for p in range(P):
-            centers[p] = data[assign == p].mean(axis=0)
-    membership = [np.flatnonzero(assign == p) for p in range(P)]
-    return centers, membership
+        for p, members in enumerate(_members(assign, counts)):
+            centers[p] = data[members].mean(axis=0)
+    return centers, _members(assign, np.bincount(assign, minlength=P))
+
+
+def _members(assign: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each cluster, ascending, from one stable sort."""
+    return np.split(np.argsort(assign, kind="stable"), np.cumsum(counts)[:-1])
 
 
 def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .covariance import SubspaceCovariances
 from .train import Codebook, CodeMatrix, mahalanobis_assign, _blocks_of
-from .vecstore import ChunkLayout, DenseVectorSet, PreprocessSpec, apply_preprocess_rows, pad_to
+from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
+                       apply_preprocess_rows, pad_to)
 
 MAGIC = b"QUIP"
 FORMAT_VERSION = 1
@@ -220,10 +221,21 @@ def _section(payload: bytes) -> bytes:
     return struct.pack("<I", len(payload)) + payload
 
 
-def _read_section(buf: bytes, off: int) -> tuple[bytes, int]:
+def _read_section(buf: memoryview, off: int, path: str) -> tuple[memoryview, int]:
+    if off + 4 > len(buf):
+        raise DataError(f"{path}: truncated: no section header at byte {off}")
     (length,) = struct.unpack_from("<I", buf, off)
     off += 4
+    if off + length > len(buf):
+        raise DataError(f"{path}: truncated: section at byte {off - 4} declares "
+                        f"{length} bytes, {len(buf) - off} remain")
     return buf[off : off + length], off + length
+
+
+def _check_size(path: str, name: str, payload: bytes, size: int) -> None:
+    if len(payload) != size:
+        raise DataError(f"{path}: {name} section holds {len(payload)} bytes; "
+                        f"its header implies {size}")
 
 
 def code_dtype(C: int) -> np.dtype:
@@ -269,33 +281,52 @@ def save_index(index: QuipIndex, path: str) -> None:
 
 
 def load_index(path: str) -> QuipIndex:
+    """Read an index file; any malformed or inconsistent content is a DataError."""
     with open(path, "rb") as f:
         buf = f.read()
-    if buf[:4] != MAGIC:
-        raise ValueError(f"{path}: not an index file")
+    if buf[:4] != MAGIC or len(buf) < 6:
+        raise DataError(f"{path}: not an index file")
     (version,) = struct.unpack_from("<H", buf, 4)
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    off = 6
-    payload, off = _read_section(buf, off)
-    K, l, d_padded, original_d = struct.unpack("<IIII", payload)
+        raise DataError(f"{path}: unsupported format version {version}")
+    view, sections, off = memoryview(buf), [], 6  # sections are views, not copies
+    for _ in range(6):
+        payload, off = _read_section(view, off, path)
+        sections.append(payload)
+    if off != len(buf):
+        raise DataError(f"{path}: {len(buf) - off} bytes after the last section")
+    lay_p, pre_p, cov_p, cb_p, codes_p, ids_p = sections
+    _check_size(path, "layout", lay_p, 16)
+    K, l, d_padded, original_d = struct.unpack("<IIII", lay_p)
+    if K == 0 or l == 0 or K * l != d_padded or original_d > d_padded:
+        raise DataError(f"{path}: inconsistent layout K={K} l={l} "
+                        f"d_padded={d_padded} original_d={original_d}")
     layout = ChunkLayout(K=K, l=l, d_padded=d_padded, original_d=original_d)
-    payload, off = _read_section(buf, off)
-    kind, seed, pre_d = struct.unpack("<BqI", payload)
+    _check_size(path, "preprocess", pre_p, 13)
+    kind, seed, pre_d = struct.unpack("<BqI", pre_p)
+    if kind >= len(PreprocessSpec.KINDS):
+        raise DataError(f"{path}: unknown preprocess kind {kind}")
     preprocess = PreprocessSpec(kind=PreprocessSpec.KINDS[kind], seed=seed, d_padded=pre_d)
-    payload, off = _read_section(buf, off)
-    src, ridge = struct.unpack_from("<Bd", payload)
-    mats = np.frombuffer(payload[9:], dtype="<f8").reshape(K, l, l).copy()
+    _check_size(path, "covariance", cov_p, 9 + K * l * l * 8)
+    src, ridge = struct.unpack_from("<Bd", cov_p)
+    mats = np.frombuffer(cov_p[9:], dtype="<f8").reshape(K, l, l).copy()
     cov = SubspaceCovariances(layout=layout, matrices=mats,
                               source="database" if src == 0 else "example_queries",
                               ridge=ridge)
-    payload, off = _read_section(buf, off)
-    cents = np.frombuffer(payload, dtype="<f4").reshape(K, -1, l).copy()
+    if len(codes_p) < 6:
+        raise DataError(f"{path}: codes section holds {len(codes_p)} bytes, "
+                        "shorter than its 6-byte header")
+    n, C = struct.unpack_from("<IH", codes_p)
+    dt = code_dtype(C)
+    _check_size(path, "codebook", cb_p, K * C * l * 4)
+    _check_size(path, "codes", codes_p, 6 + n * K * dt.itemsize)
+    _check_size(path, "ids", ids_p, n * 8)
+    cents = np.frombuffer(cb_p, dtype="<f4").reshape(K, C, l).copy()
     codebook = Codebook(layout=layout, centroids=cents)
-    payload, off = _read_section(buf, off)
-    n, C = struct.unpack_from("<IH", payload)
-    codes = np.frombuffer(payload[6:], dtype=code_dtype(C)).reshape(n, K).copy()
-    payload, off = _read_section(buf, off)
-    ids = np.frombuffer(payload, dtype="<i8").astype(np.int64)
+    codes = np.frombuffer(codes_p[6:], dtype=dt).reshape(n, K).copy()
+    # a u8 code is always < 256, so a full-width codebook needs no scan
+    if C < 1 << (8 * dt.itemsize) and codes.size and codes.max() >= C:
+        raise DataError(f"{path}: code {int(codes.max())} out of range [0, {C})")
+    ids = np.frombuffer(ids_p, dtype="<i8").astype(np.int64)
     return QuipIndex(codebook=codebook, codes=CodeMatrix(codes=codes),
                      preprocess=preprocess, layout=layout, ids=ids, cov=cov)

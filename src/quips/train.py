@@ -69,46 +69,99 @@ class ConstraintTriplet:
     neg_id: int
 
 
-def _assign_costs(blocks: np.ndarray, centroids: np.ndarray,
-                  sigma: np.ndarray) -> np.ndarray:
-    """(n, C) costs (x - U_c)^T Sigma (x - U_c) less the per-row constant x^T Sigma x.
+# Assignment walks the database in row tiles of about this many (row, centroid)
+# costs (512 rows at C=256), so a tile's costs stay in L2 and no (n, C) array
+# is ever built.
+_TILE_COSTS = 1 << 17
+# Constraint mining scores this many queries per GEMM and per stacked scan.
+_MINE_QUERIES = 64
+
+
+def _row_tiles(n: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of `size` rows covering range(n).
+
+    A one-row remainder joins the previous tile: a one-row product goes
+    through BLAS gemv, which rounds differently from a GEMM.  On OpenBLAS the
+    rows of a GEMM over a row block have matched the whole product's rows at
+    every inner width up to 32 tried (tests/test_train.py pins the library's
+    shapes), so tiled kernels reproduce whole-matrix results bit for bit
+    there; at width 64 with few columns they can differ in the last bit.
+    """
+    bounds = list(range(0, n, size)) + [n]
+    if n > 1 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _assign_codes(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndarray,
+                  rows: np.ndarray | None = None,
+                  penalty: np.ndarray | None = None) -> np.ndarray:
+    """argmin_c of (x - U_c)^T Sigma (x - U_c) less the per-row constant
+    x^T Sigma x, one row tile at a time; ties go to the lowest c.
 
     Sigma U_c and U_c^T Sigma U_c are computed once, so a row costs O(C*l).
+    Each tile is one GEMM against -2 Sigma U (scaling by a power of two is
+    exact, so the costs equal quad - 2 x Sigma U bit for bit) plus quad, in
+    one reused buffer.  penalty[i] is added to the costs of row rows[i]
+    (rows ascending and unique).
     """
     if blocks.shape[1] != centroids.shape[1]:
         raise ValueError("block width does not match centroid width")
     su = centroids @ sigma  # (C, l)
     quad = np.einsum("cl,cl->c", su, centroids)  # U_c^T Sigma U_c
-    return quad[None, :] - 2.0 * blocks @ su.T
+    weights = (-2.0 * su).T
+    n, C = blocks.shape[0], centroids.shape[0]
+    size = max(2, _TILE_COSTS // max(C, 1))
+    codes = np.empty(n, dtype=np.int32)
+    buf = np.empty((min(n, size + 1), C))
+    for lo, hi in _row_tiles(n, size):
+        costs = np.matmul(blocks[lo:hi], weights, out=buf[:hi - lo])
+        costs += quad
+        if rows is not None:
+            a, b = np.searchsorted(rows, (lo, hi))
+            costs[rows[a:b] - lo] += penalty[a:b]
+        codes[lo:hi] = np.argmin(costs, axis=1)
+    return codes
 
 
 def mahalanobis_assign(blocks: np.ndarray, centroids: np.ndarray,
                        sigma: np.ndarray) -> np.ndarray:
     """argmin_c (x - U_c)^T Sigma (x - U_c) per row; ties go to the lowest c."""
-    return np.argmin(_assign_costs(blocks, centroids, sigma), axis=1).astype(np.int32)
+    return _assign_codes(blocks, centroids, sigma)
 
 
 def update_centroids(blocks: np.ndarray, codes: np.ndarray,
                      C: int) -> tuple[np.ndarray, list[int]]:
-    """Euclidean mean per nonempty cell; empty cells reported, not filled."""
+    """Euclidean mean per nonempty cell; empty cells reported, not filled.
+
+    A weighted bincount adds each column's rows in ascending row order, so
+    the sums equal a sequential accumulation bit for bit.
+    """
     counts = np.bincount(codes, minlength=C)
-    sums = np.zeros((C, blocks.shape[1]))
-    np.add.at(sums, codes, blocks)
-    empty = [c for c in range(C) if counts[c] == 0]
+    sums = np.stack([np.bincount(codes, weights=col, minlength=C) for col in blocks.T],
+                    axis=1)
+    empty = np.flatnonzero(counts == 0).tolist()
     nz = counts > 0
     centroids = np.zeros_like(sums)
     centroids[nz] = sums[nz] / counts[nz, None]
     return centroids, empty
 
 
-def _maha_sq(diff: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _maha_sq(blocks: np.ndarray, centroids: np.ndarray, codes: np.ndarray,
+             sigma: np.ndarray) -> np.ndarray:
+    """(x - u_x)^T Sigma (x - u_x) per row, summing the l*l terms in (l, m) order.
+
+    The residuals are laid out column-major, so einsum's inner loop runs
+    along the rows; the per-row sums are those of the row-major layout.
+    """
+    diff = np.asfortranarray(blocks - centroids[codes])
     return np.einsum("nl,lm,nm->n", diff, sigma, diff)
 
 
 def subspace_objective(blocks: np.ndarray, centroids: np.ndarray,
                        codes: np.ndarray, sigma: np.ndarray) -> float:
     """sum_x (x - u_x)^T Sigma (x - u_x) for one subspace."""
-    return float(np.sum(_maha_sq(blocks - centroids[codes], sigma)))
+    return float(np.sum(_maha_sq(blocks, centroids, codes, sigma)))
 
 
 def _init_centroids(blocks: np.ndarray, C: int, seed: int, k: int) -> np.ndarray:
@@ -125,7 +178,7 @@ def _reseed_empty(centroids: np.ndarray, empty: list[int], blocks: np.ndarray,
     """
     if not empty:
         return centroids
-    dist = _maha_sq(blocks - centroids[codes], sigma)
+    dist = _maha_sq(blocks, centroids, codes, sigma)
     order = np.argsort(-dist, kind="stable")
     taken = 0
     for c in empty:
@@ -188,26 +241,42 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
 
     For each query, pos is the exact argmax over the database; neg is the
     database row with the highest quantized score among those that beat pos's
-    quantized score.  Quantized scores come from the index's scorer.
+    quantized score.  Quantized scores come from the index's scorer.  Queries
+    go in blocks of _MINE_QUERIES: one GEMM gives a block's exact scores and
+    one stacked table scan its quantized scores, so no (|Q|, n) array is
+    built; blocks stop once J inversions are found.
     """
-    from .index import build_lookup_table, table_scores
+    from .index import stack_lookup_tables, table_scores
 
     db = pad_to(database.data, layout.d_padded)
     qd = pad_to(queries.data, layout.d_padded)
-    exact = qd @ db.T  # (|Q|, n)
     order = np.random.default_rng([seed, 104729]).permutation(queries.n)
     out: list[ConstraintTriplet] = []
-    for j in order:
+    for lo, hi in _row_tiles(len(order), _MINE_QUERIES):
         if len(out) >= J:
             break
-        pos = int(np.argmax(exact[j]))
-        qs = table_scores(build_lookup_table(qd[j], codebook), codes.codes)
-        viol = np.flatnonzero(qs > qs[pos])
-        if viol.size == 0:
-            continue
-        neg = int(viol[np.argmax(qs[viol])])
-        out.append(ConstraintTriplet(query_id=int(j), pos_id=pos, neg_id=neg))
+        block = qd[order[lo:hi]]
+        best = np.argmax(block @ db.T, axis=1)
+        scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
+        for j, pos, qs in zip(order[lo:hi], best, scores):
+            viol = np.flatnonzero(qs > qs[pos])
+            if viol.size:
+                neg = int(viol[np.argmax(qs[viol])])
+                out.append(ConstraintTriplet(query_id=int(j), pos_id=int(pos), neg_id=neg))
+                if len(out) >= J:
+                    break
     return out
+
+
+def _triplet_rows(triplets: list[ConstraintTriplet]) -> np.ndarray:
+    """Database rows [neg_0, pos_0, neg_1, pos_1, ...]."""
+    return np.array([(t.neg_id, t.pos_id) for t in triplets], dtype=np.intp).reshape(-1)
+
+
+def _add_signed(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """out[rows[2j]] += values[j], then out[rows[2j+1]] -= values[j], for
+    ascending j: np.add.at adds in index order, so this equals that loop."""
+    np.add.at(out, rows, np.stack([values, -values], axis=1).reshape(-1, out.shape[1]))
 
 
 def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndarray,
@@ -216,17 +285,18 @@ def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndar
     """Mahalanobis assignment plus the hinge-derived per-vector penalty.
 
     Vectors appearing in no triplet get exactly the unpenalized assignment.
-    query_block holds the mined queries' components in this subspace.
+    query_block holds the mined queries' components in this subspace.  The
+    penalty has one row per distinct vector named in a triplet, accumulated
+    in triplet order; each q_j . U_c is its own product, since one GEMM over
+    the queries would round differently.
     """
-    costs = _assign_costs(blocks, centroids, sigma)
-    if triplets and lam != 0.0:
-        penalty = np.zeros_like(costs)
-        for j, trip in enumerate(triplets):
-            qTu = query_block[j] @ centroids.T  # (C,)
-            penalty[trip.neg_id] += lam * qTu
-            penalty[trip.pos_id] -= lam * qTu
-        costs = costs + penalty
-    return np.argmin(costs, axis=1).astype(np.int32)
+    if not triplets or lam == 0.0:
+        return _assign_codes(blocks, centroids, sigma)
+    rows, slot = np.unique(_triplet_rows(triplets), return_inverse=True)
+    qtu = np.stack([query_block[j] @ centroids.T for j in range(len(triplets))])
+    penalty = np.zeros((len(rows), centroids.shape[0]))
+    _add_signed(penalty, slot, lam * qtu)
+    return _assign_codes(blocks, centroids, sigma, rows, penalty)
 
 
 def _hinge_gradient(centroids: np.ndarray, codes: np.ndarray,
@@ -236,9 +306,8 @@ def _hinge_gradient(centroids: np.ndarray, codes: np.ndarray,
     lam sum_j q_j (1[neg_j in c] - 1[pos_j in c]), accumulated in triplet order.
     """
     grad = np.zeros(centroids.shape)
-    for j, trip in enumerate(triplets):
-        grad[codes[trip.neg_id]] += lam * query_block[j]
-        grad[codes[trip.pos_id]] -= lam * query_block[j]
+    _add_signed(grad, codes[_triplet_rows(triplets)],
+                lam * query_block[:len(triplets)])
     return grad
 
 
@@ -302,9 +371,8 @@ def train_quip_opt(database: DenseVectorSet, example_queries: DenseVectorSet,
             codebook, CodeMatrix(codes=codes), database, example_queries,
             layout, cfg.J, cfg.seed)
         # mined query components, aligned with the triplet list
-        q_blocks = [np.array([q_blocks_all[k][tr.query_id] for tr in triplets])
-                    if triplets else np.zeros((0, layout.l))
-                    for k in range(layout.K)]
+        qids = np.array([tr.query_id for tr in triplets], dtype=np.intp)
+        q_blocks = [q_blocks_all[k][qids] for k in range(layout.K)]
         for k in range(layout.K):
             codes[:, k] = constrained_assign(db_blocks[k], cents[k], cov.matrices[k],
                                              triplets, cfg.lam, q_blocks[k])

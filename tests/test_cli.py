@@ -119,6 +119,23 @@ class TestEncodeSearch:
                      "--out", out]) == 0
         assert load_index(out).n == 50
 
+    @pytest.mark.parametrize("damage", ["code byte", "truncated"])
+    def test_search_damaged_index_is_data_error(self, tmp_path, vec_files, capsys,
+                                                damage):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)  # n=200, K=4, C=8: u8 codes
+        raw = bytearray(open(index, "rb").read())
+        if damage == "code byte":
+            raw[len(raw) - (4 + 200 * 8) - 200 * 4] = 200  # first code byte
+        else:
+            del raw[-9:]
+        with open(index, "wb") as f:
+            f.write(raw)
+        assert main(["search", "--index", index, "--queries", qs,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
     def test_search_missing_index(self, tmp_path, vec_files):
         _, qs = vec_files
         assert main(["search", "--index", str(tmp_path / "no.quip"),
@@ -177,16 +194,24 @@ class TestTheoryCheck:
 
 class TestHybridTrain:
     def test_writes_partition_file(self, tmp_path, vec_files):
+        from quips import evalbench
+        from quips.hybrid import train_partitioner
         db, qs = vec_files
         out = str(tmp_path / "parts.npz")
         assert main(["hybrid-train", "--data", db, "--queries", qs,
                      "--partitions", "4", "--probe", "2", "--k", "4",
                      "--c", "4", "--out", out]) == 0
-        arc = np.load(out, allow_pickle=True)
-        assert arc["centers"].shape[0] == 4
-        covered = np.sort(np.concatenate(list(arc["membership"])))
-        np.testing.assert_array_equal(covered, np.arange(200))
-
+        _, dbp, _, _ = evalbench.prepare_training(
+            "quip-cov-x", load_vectors(db, "fvecs"), None, 4,
+            evalbench.ExperimentConfig(seed=0, preprocess="permutation"))
+        centers, membership = train_partitioner(dbp, 4, 0)
+        with np.load(out) as arc:  # plain arrays: allow_pickle stays off
+            np.testing.assert_array_equal(arc["centers"], centers)
+            members, off = arc["members"], arc["offsets"]
+            assert members.dtype == np.int64 == off.dtype
+            assert off.shape == (5,) and off[0] == 0 and off[-1] == 200
+            for p in range(4):
+                np.testing.assert_array_equal(members[off[p]:off[p + 1]], membership[p])
 
     def test_partition_smaller_than_C_is_usage_error(self, tmp_path, capsys):
         db = str(tmp_path / "db.fvecs")

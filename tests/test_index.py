@@ -11,8 +11,8 @@ from quips.index import (QueryLookupTable, _rank_top_n, approximate_inner_produc
                          predicted_file_size, save_index, search_batch, search_top_n,
                          stack_lookup_tables, table_scores)
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess_rows,
-                            make_chunk_layout, make_preprocess)
+from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec,
+                            apply_preprocess_rows, make_chunk_layout, make_preprocess)
 
 
 def make_set(data, ids=None):
@@ -349,6 +349,48 @@ class TestPersistence:
         p = tmp_path / "x.quip"
         p.write_bytes(raw)
         assert index_to_bytes(load_index(str(p))) == raw
+
+    @staticmethod
+    def _saved(tmp_path, C):
+        _, index = random_index(30, 8, 4, C, seed=17)
+        raw = bytearray(index_to_bytes(index))
+        first_code = len(raw) - (4 + 30 * 8) - 30 * 4 * code_dtype(C).itemsize
+        return index, raw, first_code, tmp_path / "x.quip"
+
+    def test_every_truncation_is_data_error(self, tmp_path):
+        _, raw, _, p = self._saved(tmp_path, 16)
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(DataError):
+                load_index(str(p))
+
+    def test_trailing_bytes_are_data_error(self, tmp_path):
+        _, raw, _, p = self._saved(tmp_path, 16)
+        p.write_bytes(raw + b"\0")
+        with pytest.raises(DataError, match="after the last section"):
+            load_index(str(p))
+
+    def test_section_disagreeing_with_header_is_data_error(self, tmp_path):
+        _, raw, first_code, p = self._saved(tmp_path, 16)
+        raw[first_code - 6 : first_code - 2] = (31).to_bytes(4, "little")  # n
+        p.write_bytes(raw)
+        with pytest.raises(DataError, match="codes section holds"):
+            load_index(str(p))
+
+    @pytest.mark.parametrize("C, bad", [(16, 16), (16, 255), (300, 300), (300, 65535)])
+    def test_out_of_range_code_is_data_error(self, tmp_path, C, bad):
+        _, raw, first_code, p = self._saved(tmp_path, C)
+        width = code_dtype(C).itemsize
+        raw[first_code + 5 * width : first_code + 6 * width] = bad.to_bytes(width, "little")
+        p.write_bytes(raw)
+        with pytest.raises(DataError, match=f"code {bad} out of range"):
+            load_index(str(p))
+
+    def test_full_width_codes_load(self, tmp_path):
+        index, raw, first_code, p = self._saved(tmp_path, 256)
+        raw[first_code] = 255
+        p.write_bytes(raw)
+        assert load_index(str(p)).codes.codes[0, 0] == 255
 
     def test_code_bytes(self):
         _, small = random_index(10, 8, 4, 256, seed=16)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quips import train as train_module
 from quips.covariance import estimate_subspace_covariances, regularize
 from quips.train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                          centroid_gradient, constrained_assign,
@@ -456,3 +457,196 @@ class TestUnbiasedness:
         errs = np.asarray(errs)
         se = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean()) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# tiled kernels against the whole-matrix code they replaced, bit for bit
+
+
+def whole_matrix_assign(blocks, centroids, sigma, penalty=None):
+    """The (n, C) cost matrix, an optional dense penalty, one argmin."""
+    su = centroids @ sigma
+    quad = np.einsum("cl,cl->c", su, centroids)
+    costs = quad[None, :] - 2.0 * blocks @ su.T
+    if penalty is not None:
+        costs = costs + penalty
+    return np.argmin(costs, axis=1).astype(np.int32)
+
+
+def dense_penalty(n, centroids, triplets, lam, query_block):
+    penalty = np.zeros((n, len(centroids)))
+    for j, trip in enumerate(triplets):
+        qTu = query_block[j] @ centroids.T
+        penalty[trip.neg_id] += lam * qTu
+        penalty[trip.pos_id] -= lam * qTu
+    return penalty
+
+
+def add_at_centroids(blocks, codes, C):
+    counts = np.bincount(codes, minlength=C)
+    sums = np.zeros((C, blocks.shape[1]))
+    np.add.at(sums, codes, blocks)
+    nz = counts > 0
+    centroids = np.zeros_like(sums)
+    centroids[nz] = sums[nz] / counts[nz, None]
+    return centroids, [c for c in range(C) if counts[c] == 0]
+
+
+def loop_hinge_gradient(centroids, codes, triplets, lam, query_block):
+    grad = np.zeros(centroids.shape)
+    for j, trip in enumerate(triplets):
+        grad[codes[trip.neg_id]] += lam * query_block[j]
+        grad[codes[trip.pos_id]] -= lam * query_block[j]
+    return grad
+
+
+def per_query_mining(codebook, codes, database, queries, layout, J, seed):
+    """The (|Q|, n) exact matrix and one table scan per query."""
+    from quips.index import build_lookup_table, table_scores
+    from quips.vecstore import pad_to
+    db = pad_to(database.data, layout.d_padded)
+    qd = pad_to(queries.data, layout.d_padded)
+    exact = qd @ db.T
+    out = []
+    for j in np.random.default_rng([seed, 104729]).permutation(queries.n):
+        if len(out) >= J:
+            break
+        pos = int(np.argmax(exact[j]))
+        qs = table_scores(build_lookup_table(qd[j], codebook), codes.codes)
+        viol = np.flatnonzero(qs > qs[pos])
+        if viol.size:
+            out.append(ConstraintTriplet(int(j), pos, int(viol[np.argmax(qs[viol])])))
+    return out
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+TILE = 4  # rows per tile at C=8 under small_tiles
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    monkeypatch.setattr(train_module, "_TILE_COSTS", TILE * 8)
+    monkeypatch.setattr(train_module, "_MINE_QUERIES", TILE)
+
+
+def kernel_instance(n, l=3, C=8, seed=0):
+    rng = np.random.default_rng([seed, n, l])
+    blocks = rng.standard_normal((n, l)) * 3
+    cents = rng.standard_normal((C, l)) * 3
+    A = rng.standard_normal((l, l))
+    return blocks, cents, A @ A.T + 0.1 * np.eye(l)
+
+
+EDGE_SIZES = [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1]
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", range(0, 14))
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_cover_without_one_row_tiles(self, n, size):
+        tiles = train_module._row_tiles(n, size)
+        assert [i for lo, hi in tiles for i in range(lo, hi)] == list(range(n))
+        assert all(hi - lo > 1 for lo, hi in tiles) or n == 1
+
+
+    def test_default_tiles_assign_matches_whole_matrix(self):
+        rng = np.random.default_rng(1)  # 3 tiles of 512 rows, then one row folded in
+        blocks, cents = rng.standard_normal((1537, 8)), rng.standard_normal((256, 8))
+        sigma = np.cov(blocks.T)
+        assert_bits_equal(mahalanobis_assign(blocks, cents, sigma),
+                          whole_matrix_assign(blocks, cents, sigma))
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestTiledKernels:
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    @pytest.mark.parametrize("l", [1, 3, 8])
+    def test_assign_matches_whole_matrix(self, n, l):
+        blocks, cents, sigma = kernel_instance(n, l)
+        assert_bits_equal(mahalanobis_assign(blocks, cents, sigma),
+                          whole_matrix_assign(blocks, cents, sigma))
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_tied_centroids_lowest_wins(self, n):
+        blocks, cents, sigma = kernel_instance(n)
+        cents[5] = cents[2]
+        cents[7] = cents[2]
+        blocks[::2] = cents[2]  # exact hits on the tied triple
+        codes = mahalanobis_assign(blocks, cents, sigma)
+        assert_bits_equal(codes, whole_matrix_assign(blocks, cents, sigma))
+        assert not np.isin(codes, [5, 7]).any()
+        assert (codes[::2] == 2).all()
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_constrained_matches_dense_penalty(self, n):
+        blocks, cents, sigma = kernel_instance(n)
+        rng = np.random.default_rng(n)
+        # rows on both sides of every tile edge, repeated and in both roles
+        edge = sorted({0, n - 1} | {r for e in range(TILE, n, TILE)
+                                    for r in (e - 1, e) if r < n})
+        pairs = [(a, b) for a in edge for b in edge if a != b] or [(0, 0)]
+        trips = [ConstraintTriplet(query_id=j, pos_id=int(p), neg_id=int(q))
+                 for j, (p, q) in enumerate(pairs + pairs[:3])]
+        qb = rng.standard_normal((len(trips), 3)) * 5
+        for lam in (0.0, 0.3, 50.0):
+            want = whole_matrix_assign(blocks, cents, sigma,
+                                       dense_penalty(n, cents, trips, lam, qb))
+            assert_bits_equal(constrained_assign(blocks, cents, sigma, trips, lam, qb),
+                              want)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES + [40])
+    def test_update_centroids_matches_add_at(self, n):
+        blocks, _, _ = kernel_instance(n)
+        codes = np.random.default_rng(n).integers(0, 8, n).astype(np.int32)
+        cents, empty = update_centroids(blocks, codes, 8)
+        want_cents, want_empty = add_at_centroids(blocks, codes, 8)
+        assert_bits_equal(cents, want_cents)
+        assert empty == want_empty
+
+    @pytest.mark.parametrize("n", EDGE_SIZES + [40])
+    def test_objective_matches_row_major_einsum(self, n):
+        blocks, cents, sigma = kernel_instance(n, l=8)
+        sigma[0, 1] += 0.5  # asymmetric: the (l, m) order shows
+        codes = np.random.default_rng(n).integers(0, 8, n)
+        diff = blocks - cents[codes]
+        want = np.einsum("nl,lm,nm->n", diff, sigma, diff)
+        assert_bits_equal(train_module._maha_sq(blocks, cents, codes, sigma), want)
+        assert subspace_objective(blocks, cents, codes, sigma) == float(np.sum(want))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hinge_gradient_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 4, 30).astype(np.int32)
+        trips = [ConstraintTriplet(j, int(rng.integers(30)), int(rng.integers(30)))
+                 for j in range(25)]
+        qb = rng.standard_normal((25, 3))
+        cents = np.zeros((4, 3))
+        assert_bits_equal(train_module._hinge_gradient(cents, codes, trips, 0.7, qb),
+                          loop_hinge_gradient(cents, codes, trips, 0.7, qb))
+        assert_bits_equal(train_module._hinge_gradient(cents, codes, [], 0.7,
+                                                       np.zeros((0, 3))),
+                          np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("nq", EDGE_SIZES)
+    def test_mining_matches_per_query_loop(self, nq):
+        rng = np.random.default_rng(nq)
+        data = rng.standard_normal((40, 6))
+        vs = make_set(data)
+        layout = make_chunk_layout(6, 2)
+        blocks = _blocks_of(data, layout)
+        cents = np.stack([b[:3] for b in blocks])  # coarse: many inversions
+        cb = Codebook(layout=layout, centroids=cents)
+        codes = CodeMatrix(codes=np.stack(
+            [mahalanobis_assign(blocks[k], cents[k], np.eye(3)) for k in range(2)],
+            axis=1))
+        queries = make_set(rng.standard_normal((nq, 6)))
+        every = per_query_mining(cb, codes, vs, queries, layout, 10 ** 6, 3)
+        assert every, "instance mines nothing"
+        for J in sorted({0, 1, TILE - 1, TILE, len(every) - 1, len(every), 10 ** 6}):
+            assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3)
+                    == per_query_mining(cb, codes, vs, queries, layout, J, 3))
