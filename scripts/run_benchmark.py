@@ -46,7 +46,8 @@ def main() -> None:
         for key, entry in report["curves"].items():
             p = entry["curve"].precision_at_recall(0.5)
             print(f"  {key:<18} bits={entry['bits']:<4} "
-                  f"P@R0.5={p:.3f}  {entry['per_query_ms']:.2f} ms/query")
+                  f"P@R0.5={p:.3f}  train {entry['train_s']:.2f} s  "
+                  f"{entry['query_ms']:.2f} ms/query")
 
 
 if __name__ == "__main__":

@@ -161,10 +161,8 @@ def _run(args) -> int:
             evalbench.ExperimentConfig(seed=args.seed, preprocess="permutation", ridge=1e-6))
         cfg = TrainConfig(K=args.k, C=args.c, seed=args.seed)
         pindex = build_hybrid(dbp, args.partitions, cov, cfg, spec, args.seed)
-        sizes = [len(m) for m in pindex.membership]
-        np.savez(args.out, centers=pindex.centers,
-                 members=np.concatenate(pindex.membership).astype(np.int64),
-                 offsets=np.cumsum([0] + sizes, dtype=np.int64))
+        np.savez(args.out, centers=pindex.centers, members=pindex.rows,
+                 offsets=pindex.offsets)
         if args.queries:
             qs = load_vectors(args.queries, args.format)
             res, scanned = hybrid_search(pindex, qs.data[0], args.topn, args.probe)

@@ -5,6 +5,7 @@ per-subspace losses, concentration bound)."""
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -49,14 +50,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
+        """Defaults overridden by a JSON object; a value whose type differs
+        from its default's, or out of range, is a ValueError."""
         with open(path) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object; got {type(raw).__name__}")
         cfg = cls()
         for key, val in raw.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
+            want = _JSON_TYPES[type(getattr(cfg, key))]
+            if isinstance(val, bool) or not isinstance(val, want):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{' or '.join(t.__name__ for t in want)}; got {val!r}")
+            if key in _AT_LEAST and val < _AT_LEAST[key]:
+                raise ValueError(f"config key {key!r} must be >= {_AT_LEAST[key]}; "
+                                 f"got {val!r}")
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
         return cfg
+
+
+# JSON types accepted for a config key, by the type of its default
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,),
+               type(None): (str, type(None))}
+_AT_LEAST = {"n": 1, "d": 1, "C": 1, "topN": 1, "iters": 1, "lam": 0}
 
 
 @dataclass(frozen=True)
@@ -209,48 +227,63 @@ def quip_rankings(index: QuipIndex, queries: DenseVectorSet) -> np.ndarray:
 
 def lsh_rankings(method: str, database: DenseVectorSet, queries: DenseVectorSet,
                  b_bits: int, seed: int, params: lsh.AlshParams | None = None) -> np.ndarray:
+    return _lsh_ranker(method, database, b_bits, seed, params)(queries)
+
+
+def _lsh_ranker(method: str, database: DenseVectorSet, b_bits: int, seed: int,
+                params: lsh.AlshParams | None = None):
+    """Hash the database once; the returned function ranks a query set."""
     params = params or lsh.AlshParams(b_bits=b_bits, seed=seed)
     max_norm = float(np.max(np.linalg.norm(database.data, axis=1)))
     scheme = method.replace("-", "_")
-    out = np.empty((queries.n, database.n), dtype=np.int64)
     if method == "l2-alsh":
         db_aug = lsh.augment_set(database.data, "l2_alsh", "database", params, max_norm)
-        q_aug = lsh.augment_set(queries.data, "l2_alsh", "query", params, max_norm)
         n_hashes = max(b_bits // 8, 1)  # one byte of budget per integer hash
         db_buckets = lsh.l2_encode(db_aug, n_hashes, params.r_lsh, seed)
-        q_buckets = lsh.l2_encode(q_aug, n_hashes, params.r_lsh, seed)
-        for j in range(queries.n):
-            out[j] = lsh.bucket_match_search(db_buckets, q_buckets[j],
-                                             database.ids, database.n).ids
-        return out
+
+        def rank_buckets(queries: DenseVectorSet) -> np.ndarray:
+            q_aug = lsh.augment_set(queries.data, "l2_alsh", "query", params, max_norm)
+            q_buckets = lsh.l2_encode(q_aug, n_hashes, params.r_lsh, seed)
+            out = np.empty((queries.n, database.n), dtype=np.int64)
+            for j in range(queries.n):
+                out[j] = lsh.bucket_match_search(db_buckets, q_buckets[j],
+                                                 database.ids, database.n).ids
+            return out
+        return rank_buckets
     db_aug = lsh.augment_set(database.data, scheme, "database", params, max_norm)
-    q_aug = lsh.augment_set(queries.data, scheme, "query", params, max_norm)
     codes = lsh.srp_encode(db_aug, b_bits, seed, ids=database.ids, scheme=scheme)
-    qcodes = lsh.srp_encode(q_aug, b_bits, seed, scheme=scheme)
-    for j in range(queries.n):
-        qc = lsh.BinaryCodeSet(packed=qcodes.packed[j : j + 1], b_bits=b_bits,
-                               scheme=scheme, ids=np.zeros(1, dtype=np.int64))
-        out[j] = lsh.hamming_search(codes, qc, database.n).ids
-    return out
+
+    def rank_hamming(queries: DenseVectorSet) -> np.ndarray:
+        q_aug = lsh.augment_set(queries.data, scheme, "query", params, max_norm)
+        qcodes = lsh.srp_encode(q_aug, b_bits, seed, scheme=scheme)
+        out = np.empty((queries.n, database.n), dtype=np.int64)
+        for j in range(queries.n):
+            qc = lsh.BinaryCodeSet(packed=qcodes.packed[j : j + 1], b_bits=b_bits,
+                                   scheme=scheme, ids=np.zeros(1, dtype=np.int64))
+            out[j] = lsh.hamming_search(codes, qc, database.n).ids
+        return out
+    return rank_hamming
 
 
 def _method_curve(method: str, bits: int, db: DenseVectorSet,
                   ex_q: DenseVectorSet, ev_q: DenseVectorSet,
-                  truth: np.ndarray, cfg: ExperimentConfig) -> tuple[PRCurve, float]:
+                  truth: np.ndarray, cfg: ExperimentConfig) -> tuple[PRCurve, float, float]:
+    """The method's precision-recall curve, its train/encode seconds and ms per query."""
     t0 = time.perf_counter()
     if method in QUIP_METHODS:
         code_bits = int(np.log2(cfg.C))
         if bits % code_bits:
             raise ValueError(f"bit budget {bits} not divisible by {code_bits} (C={cfg.C})")
-        K = bits // code_bits
-        index = build_quip_pipeline(method, db, ex_q, K, cfg.C, cfg)
-        ranked = quip_rankings(index, ev_q)
+        index = build_quip_pipeline(method, db, ex_q, bits // code_bits, cfg.C, cfg)
+        rank = functools.partial(quip_rankings, index)
     elif method in LSH_METHODS:
-        ranked = lsh_rankings(method, db, ev_q, bits, cfg.seed)
+        rank = _lsh_ranker(method, db, bits, cfg.seed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    per_query_ms = (time.perf_counter() - t0) * 1000.0 / ev_q.n
-    return precision_recall(ranked, truth, cfg.topN), per_query_ms
+    t1 = time.perf_counter()
+    ranked = rank(ev_q)
+    query_ms = (time.perf_counter() - t1) * 1000.0 / ev_q.n
+    return precision_recall(ranked, truth, cfg.topN), t1 - t0, query_ms
 
 
 def run_fixed_bit(cfg: ExperimentConfig, lsh_multiplier: int = 1) -> dict:
@@ -267,10 +300,11 @@ def run_fixed_bit(cfg: ExperimentConfig, lsh_multiplier: int = 1) -> dict:
     for bits in cfg.bits:
         for method in cfg.methods:
             eff_bits = bits * lsh_multiplier if method in LSH_METHODS else bits
-            curve, ms = _method_curve(method, eff_bits, db, ex_q, ev_q, truth, cfg)
+            curve, train_s, query_ms = _method_curve(method, eff_bits, db, ex_q, ev_q,
+                                                     truth, cfg)
             report["curves"][f"{method}@{bits}"] = {
                 "method": method, "bits": int(eff_bits), "budget": int(bits),
-                "per_query_ms": ms, "curve": curve,
+                "train_s": train_s, "query_ms": query_ms, "curve": curve,
             }
     return report
 
@@ -292,7 +326,8 @@ def write_report(report: dict, csv_path: str, json_path: str) -> None:
     summary = {"config": report["config"], "methods": {}}
     for key, entry in report["curves"].items():
         summary["methods"][key] = {
-            "bits": entry["bits"], "per_query_ms": entry["per_query_ms"],
+            "bits": entry["bits"], "train_s": entry["train_s"],
+            "query_ms": entry["query_ms"],
             "precision_at_recall_0.5": entry["curve"].precision_at_recall(0.5),
         }
     with open(json_path, "w") as f:

@@ -1,8 +1,11 @@
 """Coarse k-means partitioning with a quantized scan inside each probed partition.
 
-Partitions are learned with plain Euclidean k-means; at query time the probe
-partitions with the largest dot product between query and partition center are
-scanned and one top-N selection runs over the union of their scores.
+Partitions are learned with plain Euclidean k-means and stored as one
+contiguous index in partition order (the inverted-file layout): a partition
+is a row slice.  At query time the probe partitions with the largest dot
+product between query and partition center are scanned, one lookup table and
+one scan per distinct codebook among them, and one top-N selection runs over
+the union of their scores.
 """
 
 from __future__ import annotations
@@ -12,20 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .index import (QueryLookupTable, QuipIndex, TopNResult, _rank_top_n, build_index,
-                    build_lookup_table, encode_database, table_scores)
+from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _rank_top_n,
+                    build_lookup_table, check_queries, encode_database, table_scores)
 # search_top_n is unused here but stays bound: quipsbench's tracer test checks
 # that it is wrapped in this namespace too.
 from .index import search_top_n  # noqa: F401
 from .train import Codebook, CodeMatrix, TrainConfig, train_quip
-from .vecstore import DenseVectorSet, PreprocessSpec, apply_preprocess_rows, pad_to
+from .vecstore import (ChunkLayout, DenseVectorSet, PreprocessSpec, apply_preprocess_rows,
+                       pad_to)
 
 
 @dataclass(frozen=True)
 class PartitionIndex:
+    """Every partition's rows in one store, in partition order.
+
+    Partition p owns rows offsets[p]:offsets[p+1] of codes, ids and rows.
+    codebooks holds one codebook shared by every partition, or one per
+    partition.
+    """
+
     centers: np.ndarray  # (P, d) float64
-    membership: list[np.ndarray]  # per-partition row indices into the database
-    subindexes: list[QuipIndex]
+    offsets: np.ndarray  # (P+1,) int64
+    codes: np.ndarray  # (n, K) code_dtype(C)
+    ids: np.ndarray  # (n,) int64
+    rows: np.ndarray  # (n,) int64 database row index of each stored row
+    codebooks: tuple[Codebook, ...]  # centroids float32; length 1 or P
+    preprocess: PreprocessSpec
+    layout: ChunkLayout
+    cov: SubspaceCovariances
 
     @property
     def P(self) -> int:
@@ -33,7 +50,23 @@ class PartitionIndex:
 
     @property
     def n(self) -> int:
-        return sum(len(m) for m in self.membership)
+        return len(self.ids)
+
+    @property
+    def membership(self) -> list[np.ndarray]:
+        """Per-partition database row indices (views of rows)."""
+        return np.split(self.rows, self.offsets[1:-1])
+
+    def codebook_of(self, p: int) -> int:
+        return 0 if len(self.codebooks) == 1 else p
+
+    def partition(self, p: int) -> QuipIndex:
+        """Partition p as a flat index over views of the shared arrays."""
+        lo, hi = self.offsets[p], self.offsets[p + 1]
+        return QuipIndex(codebook=self.codebooks[self.codebook_of(p)],
+                         codes=CodeMatrix(codes=self.codes[lo:hi]),
+                         preprocess=self.preprocess, layout=self.layout,
+                         ids=self.ids[lo:hi], cov=self.cov)
 
 
 def _kmeanspp_init(data: np.ndarray, P: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,40 +135,43 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
                  shared_codes: CodeMatrix | None = None) -> PartitionIndex:
     """Partition, then quantize each partition.
 
-    With shared_codebook, every partition is encoded against the one codebook
-    (probe=P then reproduces a flat scan over those codes exactly), and every
-    subindex holds the same float32 Codebook object; pass the flat scan's
-    shared_codes to reuse them verbatim instead of re-encoding.  Otherwise
-    each partition trains its own codebook on its members using the global
-    covariance, which needs at least C members in every partition.
+    With shared_codebook, every partition is encoded against the one float32
+    codebook (probe=P then reproduces a flat scan over those codes exactly);
+    pass the flat scan's shared_codes to reuse them verbatim instead of
+    re-encoding.  Otherwise each partition trains its own codebook on its
+    members using the global covariance, which needs at least C members in
+    every partition.
     """
     if shared_codes is not None and shared_codebook is None:
         raise ValueError("shared_codes requires shared_codebook")
     centers, membership = train_partitioner(database, P, seed)
+    rows = np.concatenate(membership)
+    offsets = np.cumsum([0] + [len(m) for m in membership], dtype=np.int64)
+
+    def part(members: np.ndarray) -> DenseVectorSet:
+        return DenseVectorSet(data=database.data[members], ids=database.ids[members])
+
     if shared_codebook is None:
         for p, members in enumerate(membership):
             if len(members) < cfg.C:
                 raise ValueError(
                     f"partition {p} has {len(members)} member(s), fewer than C={cfg.C} "
                     "needed to train its codebook; lower --partitions or --c")
+        trained = [train_quip(part(members), cov, cfg)[:2] for members in membership]
+        codebooks = tuple(_float32_codebook(cb) for cb, _ in trained)
+        codes = np.concatenate([c.codes for _, c in trained])
     else:
-        shared_codebook = Codebook(layout=shared_codebook.layout,
-                                   centroids=shared_codebook.centroids.astype(np.float32))
-    subindexes = []
-    for p, members in enumerate(membership):
-        part = DenseVectorSet(data=database.data[members],
-                              ids=database.ids[members])
-        if shared_codebook is None:
-            cb, codes, _ = train_quip(part, cov, cfg)
-        elif shared_codes is not None:
-            cb = shared_codebook
-            codes = CodeMatrix(codes=shared_codes.codes[members])
+        codebooks = (_float32_codebook(shared_codebook),)
+        if shared_codes is not None:
+            codes = shared_codes.codes[rows]
         else:
-            cb = shared_codebook
-            codes = encode_database(part, cb, cov, cb.layout)
-        subindexes.append(build_index(part, cb, codes, preprocess, cov))
-    return PartitionIndex(centers=centers, membership=membership,
-                          subindexes=subindexes)
+            codes = np.concatenate([
+                encode_database(part(members), codebooks[0], cov, codebooks[0].layout).codes
+                for members in membership])
+    return PartitionIndex(centers=centers, offsets=offsets,
+                          codes=_narrow_codes(codes, codebooks[0].C),
+                          ids=database.ids[rows], rows=rows, codebooks=codebooks,
+                          preprocess=preprocess, layout=codebooks[0].layout, cov=cov)
 
 
 def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
@@ -153,23 +189,31 @@ def hybrid_search(pindex: PartitionIndex, q: np.ndarray, N: int,
     """Top-N of a raw query over the probed partitions, plus the candidate
     count scanned.
 
-    The query is preprocessed once with the subindexes' shared spec; that
-    vector picks the partitions (whose centers live in preprocessed space)
-    and builds one lookup table per distinct codebook among them.  One
-    selection runs over the union of the probed partitions' scores.
+    The query is preprocessed once; that vector picks the partitions (whose
+    centers live in preprocessed space).  The probed partitions are grouped
+    by codebook, and each group gets one lookup table and one scan over its
+    concatenated row slices: with a shared codebook that is one table and one
+    scan per query.  One selection runs over the union of the scores.  A
+    query of another width than the database's or with a non-finite entry
+    is a ValueError.
     """
     if pindex.P == 0:
         raise ValueError("empty index")
     if not 1 <= probe <= pindex.P:
         raise ValueError(f"probe must be in [1, {pindex.P}]")
-    qp = apply_preprocess_rows(q, pindex.subindexes[0].preprocess)
-    subs = [pindex.subindexes[p] for p in assign_query_partitions(qp, pindex.centers, probe)]
-    tables: dict[int, QueryLookupTable] = {}  # by codebook identity
-    scores = []
-    for sub in subs:
-        key = id(sub.codebook)
-        if key not in tables:
-            tables[key] = build_lookup_table(qp, sub.codebook)
-        scores.append(table_scores(tables[key], sub.codes.codes))
-    ids = np.concatenate([sub.ids for sub in subs])
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    q = np.asarray(q, dtype=np.float64)
+    check_queries(q, pindex.layout)
+    qp = apply_preprocess_rows(q, pindex.preprocess)
+    groups: dict[int, list[slice]] = {}
+    for p in assign_query_partitions(qp, pindex.centers, probe):
+        groups.setdefault(pindex.codebook_of(p),
+                          []).append(slice(pindex.offsets[p], pindex.offsets[p + 1]))
+    ids, scores = [], []
+    for c, slices in groups.items():
+        table = build_lookup_table(qp, pindex.codebooks[c])
+        scores.append(table_scores(table, np.concatenate([pindex.codes[s] for s in slices])))
+        ids.extend(pindex.ids[s] for s in slices)
+    ids = np.concatenate(ids)
     return _rank_top_n(ids, np.concatenate(scores), N), len(ids)

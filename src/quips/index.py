@@ -19,6 +19,7 @@ from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
 
 MAGIC = b"QUIP"
 FORMAT_VERSION = 1
+_MAX_FILE_C = 0xFFFF  # the codes section stores C as a u16
 
 
 @dataclass(frozen=True)
@@ -86,16 +87,24 @@ def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
     score bit-identically; a codebook that is float32 already is shared, not
     copied.  Codes are held as code_dtype(C).
     """
-    cb = codebook
-    if cb.centroids.dtype != np.float32:
-        cb = Codebook(layout=codebook.layout,
-                      centroids=codebook.centroids.astype(np.float32))
-    raw = codes.codes
-    if raw.size and (raw.min() < 0 or raw.max() >= cb.C):
-        raise ValueError(f"codes must lie in [0, {cb.C})")
-    return QuipIndex(codebook=cb, codes=CodeMatrix(codes=raw.astype(code_dtype(cb.C))),
+    cb = _float32_codebook(codebook)
+    return QuipIndex(codebook=cb, codes=CodeMatrix(codes=_narrow_codes(codes.codes, cb.C)),
                      preprocess=preprocess, layout=codebook.layout,
                      ids=database.ids.copy(), cov=cov)
+
+
+def _float32_codebook(codebook: Codebook) -> Codebook:
+    """The codebook with float32 centroids; shared, not copied, if already so."""
+    if codebook.centroids.dtype == np.float32:
+        return codebook
+    return Codebook(layout=codebook.layout, centroids=codebook.centroids.astype(np.float32))
+
+
+def _narrow_codes(codes: np.ndarray, C: int) -> np.ndarray:
+    """codes as code_dtype(C), once they are known to lie in [0, C)."""
+    if codes.size and (codes.min() < 0 or codes.max() >= C):
+        raise ValueError(f"codes must lie in [0, {C})")
+    return codes.astype(code_dtype(C))
 
 
 def encode_database(database: DenseVectorSet, codebook: Codebook,
@@ -113,16 +122,18 @@ def encode_database(database: DenseVectorSet, codebook: Codebook,
 
 
 def build_lookup_table(q: np.ndarray, codebook: Codebook) -> QueryLookupTable:
-    """values[k][c] = <q^(k), U_c^(k)> for a preprocessed, padded query."""
+    """values[k][c] = <q^(k), U_c^(k)> for a preprocessed, padded query.
+
+    One batched product over the K blocks; it has the same bits as a
+    separate (l,) @ (l, C) product per block (tests/test_index.py holds that
+    loop as the oracle and names the shapes checked).
+    """
     layout = codebook.layout
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1] != layout.d_padded:
         raise ValueError(f"query has {q.shape[-1]} dims, layout wants {layout.d_padded}")
-    values = np.empty((layout.K, codebook.C))
-    for k in range(layout.K):
-        values[k] = layout.block(q, k) @ np.asarray(codebook.centroids[k],
-                                                    dtype=np.float64).T
-    return QueryLookupTable(values=values)
+    cents = np.asarray(codebook.centroids, dtype=np.float64)
+    return QueryLookupTable(values=np.matmul(cents, q.reshape(layout.K, layout.l, 1))[..., 0])
 
 
 def stack_lookup_tables(Qp: np.ndarray, codebook: Codebook) -> QueryLookupTable:
@@ -168,9 +179,20 @@ def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
     return out if table.values.ndim == 3 else out[0]
 
 
+def check_queries(Q: np.ndarray, layout: ChunkLayout) -> None:
+    """Raise ValueError unless the raw query (rows) are layout.original_d wide
+    and finite; a wrong width would otherwise be padded or cut silently."""
+    if Q.shape[-1] != layout.original_d:
+        raise ValueError(f"queries have {Q.shape[-1]} dims, the index wants "
+                         f"{layout.original_d}")
+    if not np.isfinite(Q).all():
+        raise ValueError("queries hold a non-finite value")
+
+
 def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-N of every raw query row of Q (B, d): ids and scores, each
+    """Top-N of every raw query row of Q (B, original_d): ids and scores, each
     (B, min(N, n)); row b equals search_top_n(index, Q[b], N) bit for bit.
+    A query of another width or with a non-finite entry is a ValueError.
 
     The batch is preprocessed once; each block of queries gets one stacked
     table and one scan of the codes, then a selection per query.
@@ -182,6 +204,7 @@ def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, n
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2:
         raise ValueError(f"queries must be a 2-d array; got {Q.ndim}-d")
+    check_queries(Q, index.layout)
     Qp = apply_preprocess_rows(Q, index.preprocess)
     m = min(N, index.n)
     ids = np.empty((len(Qp), m), dtype=np.int64)
@@ -239,10 +262,13 @@ def _check_size(path: str, name: str, payload: bytes, size: int) -> None:
 
 
 def code_dtype(C: int) -> np.dtype:
-    return np.dtype("<u1") if C <= 256 else np.dtype("<u2")
+    return np.dtype("<u1" if C <= 1 << 8 else "<u2" if C <= 1 << 16 else "<u4")
 
 
 def index_to_bytes(index: QuipIndex) -> bytes:
+    if index.codebook.C > _MAX_FILE_C:
+        raise ValueError(f"C={index.codebook.C} exceeds the index file format's "
+                         f"limit of {_MAX_FILE_C} centroids per subspace")
     lay = index.layout
     out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
     out.append(_section(struct.pack("<IIII", lay.K, lay.l, lay.d_padded, lay.original_d)))
@@ -276,8 +302,9 @@ def predicted_file_size(n: int, K: int, l: int, C: int) -> int:
 
 
 def save_index(index: QuipIndex, path: str) -> None:
+    payload = index_to_bytes(index)  # an index the format cannot hold leaves no file
     with open(path, "wb") as f:
-        f.write(index_to_bytes(index))
+        f.write(payload)
 
 
 def load_index(path: str) -> QuipIndex:

@@ -7,6 +7,7 @@ random Hadamard rotation is applied first to spread the norm across blocks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +115,23 @@ def pad_to(data: np.ndarray, d_padded: int) -> np.ndarray:
     return np.pad(data, pad)
 
 
+# The spec is frozen and hashable, so its constants are drawn once per spec,
+# not once per query; the cached arrays are read-only because every caller
+# shares them.
+@functools.lru_cache(maxsize=64)
 def permutation_for(spec: PreprocessSpec) -> np.ndarray:
-    return np.random.default_rng(spec.seed).permutation(spec.d_padded)
+    return _read_only(np.random.default_rng(spec.seed).permutation(spec.d_padded))
 
 
+@functools.lru_cache(maxsize=64)
 def _hadamard_signs(spec: PreprocessSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
-    return rng.choice([-1.0, 1.0], size=spec.d_padded)
+    return _read_only(rng.choice([-1.0, 1.0], size=spec.d_padded))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _fwht(rows: np.ndarray) -> np.ndarray:

@@ -163,6 +163,33 @@ class TestEval:
         assert main(["eval", "--config", cfg_path,
                      "--out-prefix", str(tmp_path / "rep")]) == 1
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"n": "abc"}, "'n' must be int; got 'abc'"),
+        ({"iters": 2.5}, "'iters' must be int"),
+        ({"lam": "0.1"}, "'lam' must be int or float"),
+        ({"methods": "quip-opt"}, "'methods' must be list"),
+        ({"data_path": 3}, "'data_path' must be str or NoneType"),
+        ({"topN": True}, "'topN' must be int"),
+    ])
+    def test_bad_config_type_is_usage_error(self, tmp_path, capsys, cfg, message):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(cfg, f)
+        assert main(["eval", "--config", cfg_path,
+                     "--out-prefix", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 0), ("d", -1), ("C", 0), ("topN", 0), ("iters", 0), ("lam", -0.5)])
+    def test_config_out_of_range_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({key: value}, f)
+        assert main(["eval", "--config", cfg_path,
+                     "--out-prefix", str(tmp_path / "rep")]) == 1
+        assert f"usage error: config key {key!r} must be >=" in capsys.readouterr().err
+
 
 class TestTheoryCheck:
     def test_passes_on_trained_index(self, tmp_path, vec_files, capsys):

@@ -149,6 +149,30 @@ class TestFixedBitReports:
         assert len(curve.lengths) == 120
         assert curve.recall[-1] == pytest.approx(1.0)
 
+    def test_query_ms_excludes_training(self, monkeypatch, tmp_path):
+        import time
+
+        import quips.evalbench as eb
+        real = eb.build_quip_pipeline
+
+        def slow_pipeline(*args, **kw):
+            time.sleep(0.5)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(eb, "build_quip_pipeline", slow_pipeline)
+        cfg = self.small_cfg(methods=("quip-cov-x",))
+        report = run_fixed_bit(cfg)
+        entry = report["curves"]["quip-cov-x@16"]
+        assert entry["train_s"] >= 0.5
+        # 10 evaluation queries: the sleep alone would be 50 ms per query
+        assert entry["query_ms"] < 0.5 * 1e3 / cfg.n_queries
+        json_path = str(tmp_path / "r.json")
+        write_report(report, str(tmp_path / "r.csv"), json_path)
+        with open(json_path) as f:
+            summary = json.load(f)["methods"]["quip-cov-x@16"]
+        assert summary["train_s"] == entry["train_s"]
+        assert summary["query_ms"] == entry["query_ms"]
+
     def test_bit_budget_divides_into_subspaces(self):
         # 16 bits at C=4 (2 bits/code) must build K=8 subspaces on d=8
         report = run_fixed_bit(self.small_cfg())

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quips.covariance import estimate_subspace_covariances, regularize
-from quips.hybrid import (assign_query_partitions, build_hybrid, hybrid_search,
-                          train_partitioner)
-from quips.index import build_index, search_top_n
-from quips.train import TrainConfig, train_quip
+from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
+from quips.hybrid import (PartitionIndex, assign_query_partitions, build_hybrid,
+                          hybrid_search, train_partitioner)
+from quips.index import (_rank_top_n, build_index, build_lookup_table, code_dtype,
+                         search_top_n, table_scores)
+from quips.train import Codebook, TrainConfig, train_quip
 from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
-                            make_chunk_layout)
+                            apply_preprocess_rows, make_chunk_layout, make_preprocess)
 
 
 def make_set(data, ids=None):
@@ -23,6 +26,23 @@ def blob_data(seed=0, per=40, d=6, centers=4, spread=0.05):
     data = np.vstack([c + spread * rng.standard_normal((per, d)) for c in ctrs])
     labels = np.repeat(np.arange(centers), per)
     return data, labels
+
+
+def per_partition_search(pindex, q, N, probe):
+    """The algorithm the contiguous scan replaced: one table per distinct
+    codebook, one scan per probed partition in probe order, scores
+    concatenated, one selection."""
+    qp = apply_preprocess_rows(q, pindex.preprocess)
+    tables, ids, scores = {}, [], []
+    for p in assign_query_partitions(qp, pindex.centers, probe):
+        lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
+        cb = pindex.codebooks[p if len(pindex.codebooks) > 1 else 0]
+        if id(cb) not in tables:
+            tables[id(cb)] = build_lookup_table(qp, cb)
+        scores.append(table_scores(tables[id(cb)], pindex.codes[lo:hi]))
+        ids.append(pindex.ids[lo:hi])
+    ids = np.concatenate(ids)
+    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
 
 
 class TestPartitioner:
@@ -131,19 +151,19 @@ class TestHybridSearch:
             pindex = build_hybrid(self.vs, P=5, cov=self.cov, cfg=self.cfg,
                                   preprocess=self.spec, seed=1, shared_codebook=cb,
                                   shared_codes=shared_codes)
-            first = pindex.subindexes[0].codebook
-            assert all(sub.codebook is first for sub in pindex.subindexes)
+            first = pindex.partition(0).codebook
+            assert all(pindex.partition(p).codebook is first for p in range(pindex.P))
             assert first.centroids.dtype == np.float32
 
     def test_own_codebooks_equal_per_partition_merge(self):
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=5)
-        assert len({id(sub.codebook) for sub in pindex.subindexes}) == 4
+        assert len({id(pindex.partition(p).codebook) for p in range(pindex.P)}) == 4
         for q in self.queries:
             for probe in (1, 2, 3):
                 res, _ = hybrid_search(pindex, q, N=10, probe=probe)
                 # the merge it replaced: top-N per probed partition, then top-N
-                parts = [pindex.subindexes[p]
+                parts = [pindex.partition(p)
                          for p in assign_query_partitions(q, pindex.centers, probe)]
                 tops = [search_top_n(sub, q, 10) for sub in parts]
                 ids = np.concatenate([t.ids for t in tops])
@@ -190,7 +210,7 @@ class TestHybridSearch:
     def test_single_partition_equals_flat_scan(self):
         pindex = build_hybrid(self.vs, P=1, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=0)
-        sub = pindex.subindexes[0]
+        sub = pindex.partition(0)
         for q in self.queries[:3]:
             res, scanned = hybrid_search(pindex, q, N=7, probe=1)
             ref = search_top_n(sub, q, 7)
@@ -250,3 +270,138 @@ class TestHybridSearchPreprocessed:
             ref = search_top_n(flat, q, 10)
             np.testing.assert_array_equal(res.ids, ref.ids)
             np.testing.assert_array_equal(res.scores, ref.scores)
+
+
+class TestContiguousLayout:
+    """One store in partition order; partitions are row slices of it."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.vs = make_set(rng.standard_normal((150, 8)), ids=rng.permutation(150) + 500)
+        self.layout = make_chunk_layout(8, 4)
+        self.cov = regularize(estimate_subspace_covariances(self.vs, self.layout), 1e-6)
+        self.cfg = TrainConfig(K=4, C=8, T=5, seed=0)
+        self.spec = PreprocessSpec(kind="identity", seed=0, d_padded=8)
+
+    def test_shared_codes_are_one_fancy_index(self):
+        cb, codes, _ = train_quip(self.vs, self.cov, self.cfg)
+        pindex = build_hybrid(self.vs, P=5, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=1, shared_codebook=cb,
+                              shared_codes=codes)
+        _, membership = train_partitioner(self.vs, 5, 1)
+        rows = np.concatenate(membership)
+        np.testing.assert_array_equal(pindex.rows, rows)
+        np.testing.assert_array_equal(pindex.offsets,
+                                      np.cumsum([0] + [len(m) for m in membership]))
+        assert pindex.offsets.dtype == np.int64 and pindex.rows.dtype == np.int64
+        np.testing.assert_array_equal(pindex.codes, codes.codes[rows])
+        assert pindex.codes.dtype == code_dtype(8)
+        np.testing.assert_array_equal(pindex.ids, self.vs.ids[rows])
+        assert len(pindex.codebooks) == 1 and pindex.n == 150
+
+    def test_membership_and_partitions_are_views(self):
+        pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=2)
+        assert len(pindex.codebooks) == 4
+        _, expect = train_partitioner(self.vs, 4, 2)
+        for p, members in enumerate(pindex.membership):
+            np.testing.assert_array_equal(members, expect[p])
+            assert np.shares_memory(members, pindex.rows)
+            part = pindex.partition(p)
+            assert part.codebook is pindex.codebooks[p]
+            assert np.shares_memory(part.codes.codes, pindex.codes)
+            assert np.shares_memory(part.ids, pindex.ids)
+            np.testing.assert_array_equal(part.ids, self.vs.ids[members])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_row_partitions(self, shared):
+        data = np.random.default_rng(1).standard_normal((8, 4))
+        vs = make_set(data)
+        layout = make_chunk_layout(4, 2)
+        cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
+        cfg = TrainConfig(K=2, C=1, T=2, seed=0)
+        cb = train_quip(vs, cov, cfg)[0] if shared else None
+        pindex = build_hybrid(vs, P=8, cov=cov, cfg=cfg, seed=0, shared_codebook=cb,
+                              preprocess=PreprocessSpec(kind="identity", seed=0,
+                                                        d_padded=4))
+        np.testing.assert_array_equal(np.diff(pindex.offsets), 1)
+        for q in np.random.default_rng(2).standard_normal((4, 4)):
+            for probe in (1, 3, 8):
+                res, scanned = hybrid_search(pindex, q, 3, probe)
+                ref, ref_scanned = per_partition_search(pindex, q, 3, probe)
+                np.testing.assert_array_equal(res.ids, ref.ids)
+                assert res.scores.tobytes() == ref.scores.tobytes()
+                assert scanned == ref_scanned == probe
+
+
+class TestHybridMatchesPerPartitionScan:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_for_bit(self, data):
+        """hybrid_search equals the per-partition scan over any layout:
+        shared or per-partition codebooks, one-row partitions, probe 1..P,
+        heavy score ties (C down to 1) and unsorted ids."""
+        sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6), label="sizes")
+        P, n = len(sizes), sum(sizes)
+        K = data.draw(st.integers(1, 3), label="K")
+        d = data.draw(st.integers(K, 4 * K), label="d")
+        C = data.draw(st.integers(1, 5), label="C")
+        shared = data.draw(st.booleans(), label="shared")
+        kind = data.draw(st.sampled_from(["identity", "permutation", "hadamard_rotation"]),
+                         label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        try:
+            spec, layout = make_preprocess(kind, 3, make_chunk_layout(d, K))
+        except ValueError:  # K does not divide a power of 2
+            spec, layout = make_preprocess("permutation", 3, make_chunk_layout(d, K))
+        codebooks = tuple(
+            Codebook(layout=layout, centroids=rng.standard_normal(
+                (K, C, layout.l)).astype(np.float32))
+            for _ in range(1 if shared else P))
+        pindex = PartitionIndex(
+            centers=rng.standard_normal((P, layout.d_padded)),
+            offsets=np.cumsum([0] + sizes, dtype=np.int64),
+            codes=rng.integers(0, C, (n, K)).astype(code_dtype(C)),
+            ids=rng.permutation(n).astype(np.int64) * 3 - n,
+            rows=rng.permutation(n).astype(np.int64), codebooks=codebooks,
+            preprocess=spec, layout=layout,
+            cov=SubspaceCovariances(layout=layout, source="database",
+                                    matrices=np.tile(np.eye(layout.l), (K, 1, 1))))
+        probe = data.draw(st.integers(1, P), label="probe")
+        N = data.draw(st.integers(1, n + 2), label="N")
+        for q in rng.standard_normal((3, d)):
+            res, scanned = hybrid_search(pindex, q, N, probe)
+            ref, ref_scanned = per_partition_search(pindex, q, N, probe)
+            np.testing.assert_array_equal(res.ids, ref.ids)
+            assert res.scores.tobytes() == ref.scores.tobytes()
+            assert scanned == ref_scanned
+
+
+class TestHybridQueryPreconditions:
+    def setup_method(self):
+        data, _ = blob_data(seed=4, per=20, d=6, centers=3)
+        spec, layout = make_preprocess("hadamard_rotation", 1, make_chunk_layout(6, 2))
+        vs = apply_preprocess(make_set(data), spec)
+        cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
+        cfg = TrainConfig(K=2, C=4, T=3, seed=0)
+        cb, codes, _ = train_quip(vs, cov, cfg)
+        self.pindex = build_hybrid(vs, P=3, cov=cov, cfg=cfg, preprocess=spec, seed=0,
+                                   shared_codebook=cb, shared_codes=codes)
+        assert self.pindex.layout.original_d == 6 and self.pindex.layout.d_padded == 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, bad):
+        q = np.ones(6)
+        q[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hybrid_search(self.pindex, q, 5, probe=2)
+
+    @pytest.mark.parametrize("width", [4, 5, 7, 8])
+    def test_wrong_width(self, width):
+        with pytest.raises(ValueError, match=f"queries have {width} dims, the index wants 6"):
+            hybrid_search(self.pindex, np.ones(width), 5, probe=2)
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_bad_N(self, N):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            hybrid_search(self.pindex, np.ones(6), N, probe=2)

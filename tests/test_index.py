@@ -1,11 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quips.index
-from quips.covariance import estimate_subspace_covariances, regularize
-from quips.index import (QueryLookupTable, _rank_top_n, approximate_inner_product,
+from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
+from quips.index import (QueryLookupTable, QuipIndex, _rank_top_n, approximate_inner_product,
                          build_index, build_lookup_table, code_dtype, encode_database,
                          exact_top_n, index_to_bytes, load_index,
                          predicted_file_size, save_index, search_batch, search_top_n,
@@ -103,6 +105,50 @@ class TestLookupTable:
                 for i in range(2):
                     acc += q[k * 2 + i] * float(index.codebook.centroids[k, c, i])
                 assert t.values[k, c] == pytest.approx(acc, abs=1e-6)
+
+
+def lookup_table_oracle(q, codebook):
+    """The per-block loop build_lookup_table replaced: one (l,) @ (l, C)
+    product per subspace."""
+    layout = codebook.layout
+    values = np.empty((layout.K, codebook.C))
+    for k in range(layout.K):
+        values[k] = layout.block(q, k) @ np.asarray(codebook.centroids[k],
+                                                    dtype=np.float64).T
+    return values
+
+
+class TestBatchedLookupTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_block_loop(self, data):
+        """The batched table equals the per-block loop bit for bit.
+
+        The library builds tables for float32 centroids of width
+        l = d_padded / K: l=8 at the benchmark's and the CLI's default
+        d=64, K=8, with C of 4 to 300 in the tests and 256 by default.
+        Drawn here: l in {1, 2, 3, 5, 8, 16, 17, 32, 64, 128}, C in
+        {1, 2, 16, 100, 256, 300, 1024}, K in {1, 3, 8}, and queries with
+        zero blocks, +-0 entries and magnitudes from 1e-3 to 1e3.  Each table
+        entry is one length-l dot product in both forms; a BLAS whose batched
+        product rounds differently from its single product fails here.
+        """
+        l = data.draw(st.sampled_from([1, 2, 3, 5, 8, 16, 17, 32, 64, 128]), label="l")
+        C = data.draw(st.sampled_from([1, 2, 16, 100, 256, 300, 1024]), label="C")
+        K = data.draw(st.sampled_from([1, 3, 8]), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        layout = make_chunk_layout(K * l, K)
+        cb = Codebook(layout=layout,
+                      centroids=rng.standard_normal((K, C, l)).astype(np.float32))
+        q = rng.uniform(1.0, 10.0, K * l) * 10.0 ** rng.integers(-3, 3, K * l)
+        q *= rng.choice([-1.0, 1.0], K * l)
+        q[rng.random(K * l) < data.draw(st.sampled_from([0.0, 0.3]), label="zeros")] = 0.0
+        q[rng.random(K * l) < 0.1] = -0.0
+        for k in data.draw(st.sets(st.integers(0, K - 1)), label="zero blocks"):
+            q[k * l:(k + 1) * l] = 0.0
+        got = build_lookup_table(q, cb).values
+        assert got.shape == (K, C)
+        assert got.tobytes() == lookup_table_oracle(q, cb).tobytes()
 
 
 class TestApproximateInnerProduct:
@@ -271,6 +317,32 @@ class TestSearchBatch:
                 build_index(vs, cb, CodeMatrix(codes=codes), spec, cov)
 
 
+class TestQueryPreconditions:
+    """search_top_n and search_batch reject a query they cannot answer."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, bad):
+        index = _index_for("permutation", 16, n=50)
+        q = np.ones(12)
+        q[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            search_top_n(index, q, 3)
+        Q = np.ones((3, 12))
+        Q[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            search_batch(index, Q, 3)
+
+    @pytest.mark.parametrize("width", [8, 11, 13, 16])
+    def test_wrong_width(self, width):
+        # 12 dims padded to 16 by the rotation: 16 was once accepted as-is
+        index = _index_for("hadamard_rotation", 16, n=50)
+        assert index.layout.original_d == 12 and index.layout.d_padded == 16
+        with pytest.raises(ValueError, match=f"queries have {width} dims, the index wants 12"):
+            search_top_n(index, np.ones(width), 3)
+        with pytest.raises(ValueError, match="the index wants 12"):
+            search_batch(index, np.ones((2, width)), 3)
+
+
 class TestExactTopN:
     def test_scaled_copy_wins(self):
         vs = make_set([[1.0, 0.0], [2.0, 0.0]])
@@ -308,7 +380,38 @@ class TestExactTopN:
         np.testing.assert_array_equal(kept, before.ids)
 
 
+def _one_row_index(C):
+    layout = make_chunk_layout(1, 1)
+    return QuipIndex(
+        codebook=Codebook(layout=layout, centroids=np.zeros((1, C, 1), dtype=np.float32)),
+        codes=CodeMatrix(codes=np.array([[C - 1]], dtype=code_dtype(C))),
+        preprocess=PreprocessSpec(kind="identity", seed=0, d_padded=1), layout=layout,
+        ids=np.array([7], dtype=np.int64),
+        cov=SubspaceCovariances(layout=layout, matrices=np.ones((1, 1, 1)),
+                                source="database"))
+
+
 class TestPersistence:
+    def test_save_rejects_C_beyond_format(self, tmp_path):
+        path = str(tmp_path / "big.quip")
+        with pytest.raises(ValueError, match=r"C=65536 exceeds .* limit of 65535"):
+            save_index(_one_row_index(1 << 16), path)
+        assert not os.path.exists(path)
+
+    def test_largest_C_in_format_roundtrips(self, tmp_path):
+        path = str(tmp_path / "edge.quip")
+        index = _one_row_index(0xFFFF)
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.codebook.C == 0xFFFF
+        np.testing.assert_array_equal(loaded.codes.codes, [[0xFFFE]])
+
+    @pytest.mark.parametrize("C, dtype", [(256, "<u1"), (257, "<u2"), (1 << 16, "<u2"),
+                                          ((1 << 16) + 1, "<u4")])
+    def test_code_dtype_holds_every_code(self, C, dtype):
+        assert code_dtype(C) == np.dtype(dtype)
+        assert np.iinfo(code_dtype(C)).max >= C - 1
+
     def test_roundtrip_bitwise_search(self, tmp_path):
         rng = np.random.default_rng(13)
         _, index = random_index(40, 8, 4, 16, seed=13, trained=True)
