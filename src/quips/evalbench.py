@@ -147,7 +147,7 @@ def precision_recall(ranked: np.ndarray, truth: np.ndarray, topN: int) -> PRCurv
     if truth.size == 0:
         raise ValueError("empty truth sets")
     nq, M = ranked.shape
-    hits = np.zeros((nq, M))
+    hits = np.zeros((nq, M), dtype=bool)  # integer counts: the same bits as float
     for j in range(nq):
         hits[j] = np.isin(ranked[j], truth[j])
     cum = np.cumsum(hits, axis=1)

@@ -89,9 +89,11 @@ def train_partitioner(database: DenseVectorSet, P: int, seed: int,
                       iters: int = 25) -> tuple[np.ndarray, list[np.ndarray]]:
     """Seeded Lloyd k-means; empty clusters are repaired by splitting the largest.
 
-    Row norms and 2x are computed once and the (n, P) distances reuse one
-    buffer; each cluster's mean runs over its members in ascending row order,
-    taken from one stable sort of the assignment.
+    Row norms are computed once and the (n, P) distances reuse one buffer.
+    The cross term is x . 2c, which has the bits of 2x . c (scaling by two is
+    exact) without a doubled copy of the data.  Each cluster's mean runs over
+    its members in ascending row order, taken from one stable sort of the
+    assignment.
     """
     n = database.n
     if n < P:
@@ -100,12 +102,11 @@ def train_partitioner(database: DenseVectorSet, P: int, seed: int,
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(data, P, rng)
     norms = np.sum(data ** 2, axis=1, keepdims=True)
-    twice = 2.0 * data
     d2 = np.empty((n, P))
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(iters):
         # |x|^2 - 2 x.c + |c|^2, in that order
-        np.subtract(norms, np.matmul(twice, centers.T, out=d2), out=d2)
+        np.subtract(norms, np.matmul(data, (2.0 * centers).T, out=d2), out=d2)
         d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=P)

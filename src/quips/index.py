@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .train import Codebook, CodeMatrix, mahalanobis_assign, _blocks_of
+from .train import (Codebook, CodeMatrix, mahalanobis_assign, _assign_tile_rows,
+                    _blocks_of, _row_tiles)
 from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
                        apply_preprocess_rows, pad_to)
 
@@ -58,6 +59,8 @@ class TopNResult:
 _TILE_SCORES = 1 << 15
 # Queries scanned together are capped so their (B, n) scores stay near 64 MB.
 _BLOCK_SCORES = 1 << 23
+# Encoding splits about this many database values (4 MB) at a time into blocks.
+_ENCODE_VALUES = 1 << 19
 
 
 def _rank_top_n(ids: np.ndarray, scores: np.ndarray, N: int) -> TopNResult:
@@ -109,15 +112,23 @@ def _narrow_codes(codes: np.ndarray, C: int) -> np.ndarray:
 
 def encode_database(database: DenseVectorSet, codebook: Codebook,
                     cov: SubspaceCovariances, layout: ChunkLayout) -> CodeMatrix:
-    """Assign frozen-codebook codes to (already preprocessed) vectors."""
+    """Assign frozen-codebook codes to (already preprocessed) vectors.
+
+    Rows stream through in chunks of whole assignment tiles (a one-row tail
+    joins the last chunk, as in the tiles), each split into its own blocks, so
+    no second copy of the database is held and every tile's GEMM covers the
+    rows it would cover over the whole database: the codes are the same bits.
+    """
     if layout.d_padded != codebook.layout.d_padded:
         raise ValueError("layout does not match codebook")
-    blocks = _blocks_of(database.data, layout)
+    cents = np.asarray(codebook.centroids, dtype=np.float64)
+    tile = _assign_tile_rows(codebook.C)
+    chunk = tile * max(1, _ENCODE_VALUES // (tile * layout.d_padded))
     codes = np.empty((database.n, layout.K), dtype=np.int32)
-    for k in range(layout.K):
-        codes[:, k] = mahalanobis_assign(
-            blocks[k], np.asarray(codebook.centroids[k], dtype=np.float64),
-            cov.matrices[k])
+    for lo, hi in _row_tiles(database.n, chunk):
+        blocks = _blocks_of(database.data[lo:hi], layout)
+        for k in range(layout.K):
+            codes[lo:hi, k] = mahalanobis_assign(blocks[k], cents[k], cov.matrices[k])
     return CodeMatrix(codes=codes)
 
 

@@ -77,6 +77,11 @@ _TILE_COSTS = 1 << 17
 _MINE_QUERIES = 64
 
 
+def _assign_tile_rows(C: int) -> int:
+    """Rows per assignment tile against C centroids."""
+    return max(2, _TILE_COSTS // max(C, 1))
+
+
 def _row_tiles(n: int, size: int) -> list[tuple[int, int]]:
     """[lo, hi) ranges of `size` rows covering range(n).
 
@@ -111,7 +116,7 @@ def _assign_codes(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndarray,
     quad = np.einsum("cl,cl->c", su, centroids)  # U_c^T Sigma U_c
     weights = (-2.0 * su).T
     n, C = blocks.shape[0], centroids.shape[0]
-    size = max(2, _TILE_COSTS // max(C, 1))
+    size = _assign_tile_rows(C)
     codes = np.empty(n, dtype=np.int32)
     buf = np.empty((min(n, size + 1), C))
     for lo, hi in _row_tiles(n, size):
@@ -187,9 +192,12 @@ def _reseed_empty(centroids: np.ndarray, empty: list[int], blocks: np.ndarray,
     return centroids
 
 
-def _blocks_of(data: np.ndarray, layout: ChunkLayout) -> list[np.ndarray]:
+def _blocks_of(data: np.ndarray, layout: ChunkLayout) -> np.ndarray:
+    """The K blocks of the padded rows as one C-contiguous (K, n, l) tensor:
+    one allocation, and block k is a contiguous (n, l) view."""
     padded = pad_to(data, layout.d_padded)
-    return [np.ascontiguousarray(layout.block(padded, k)) for k in range(layout.K)]
+    return np.ascontiguousarray(
+        padded.reshape(len(padded), layout.K, layout.l).transpose(1, 0, 2))
 
 
 def train_quip(database: DenseVectorSet, cov: SubspaceCovariances,

@@ -29,7 +29,9 @@ class DenseVectorSet:
             raise DataError("data must be a 2-d array")
         if len(self.ids) != self.n:
             raise DataError("ids length does not match row count")
-        if len(np.unique(self.ids)) != self.n:
+        # a sort, not np.unique, whose first call imports numpy.ma
+        ordered = np.sort(self.ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise DataError("ids are not unique")
         if not np.all(np.isfinite(self.data)):
             bad = np.argwhere(~np.isfinite(self.data))[0]

@@ -1,9 +1,15 @@
 import csv
+import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quips
+import quips.cli
 from quips.cli import main
 from quips.index import load_index, search_top_n
 from quips.vecstore import load_vectors
@@ -135,6 +141,30 @@ class TestEncodeSearch:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_duplicate_csv_ids_are_data_error(self, tmp_path, capsys, monkeypatch):
+        # the CLI reads CSV without an id column; read it with one, as a
+        # library caller can, to see that the id check reaches exit code 2
+        path = tmp_path / "dup.csv"
+        rows = [f"{i % 40},{i * 0.5},{1.0 - i},{i % 3},{i % 5 * 0.25}" for i in range(50)]
+        path.write_text("\n".join(rows) + "\n")
+        monkeypatch.setattr(quips.cli, "load_vectors",
+                            functools.partial(load_vectors, id_column=True))
+        assert main(["train", "--method", "quip-cov-x", "--data", str(path),
+                     "--format", "csv", "--k", "2", "--c", "4", "--iters", "2",
+                     "--out", str(tmp_path / "x.quip")]) == 2
+        assert "dup.csv: ids are not unique" in capsys.readouterr().err
+
+    def test_search_leaves_numpy_ma_unimported(self, tmp_path, vec_files):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        script = ("import sys; from quips.cli import main; "
+                  "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quips.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, "search", "--index", index,
+                              "--queries", qs, "--out", str(tmp_path / "o.csv")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"], out.stdout + out.stderr
 
     def test_search_missing_index(self, tmp_path, vec_files):
         _, qs = vec_files

@@ -104,6 +104,21 @@ class TestPrecisionRecall:
         assert curve.precision_at_recall(0.99) == 0.4
         assert curve.precision_at_recall(1.01) == 0.0
 
+    @pytest.mark.parametrize("nq,M,topN,seed", [(1, 1, 1, 0), (5, 30, 8, 1),
+                                                 (40, 300, 10, 2), (7, 1000, 50, 3)])
+    def test_same_bits_as_float_hits(self, nq, M, topN, seed):
+        rng = np.random.default_rng(seed)
+        ranked = np.stack([rng.permutation(2 * M)[:M] for _ in range(nq)])
+        truth = np.stack([rng.permutation(2 * M)[:topN] for _ in range(nq)])
+        hits = np.zeros((nq, M))
+        for j in range(nq):
+            hits[j] = np.isin(ranked[j], truth[j])
+        cum = np.cumsum(hits, axis=1)
+        lengths = np.arange(1, M + 1)
+        curve = precision_recall(ranked, truth, topN)
+        assert curve.precision.tobytes() == (cum / lengths).mean(axis=0).tobytes()
+        assert curve.recall.tobytes() == (cum / topN).mean(axis=0).tobytes()
+
     def test_averaged_over_queries(self):
         ranked = np.array([[0, 1], [1, 0]])
         truth = np.array([[0], [0]])

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.hybrid import (PartitionIndex, assign_query_partitions, build_hybrid,
-                          hybrid_search, train_partitioner)
+from quips.hybrid import (PartitionIndex, _kmeanspp_init, _members, assign_query_partitions,
+                          build_hybrid, hybrid_search, train_partitioner)
 from quips.index import (_rank_top_n, build_index, build_lookup_table, code_dtype,
                          search_top_n, table_scores)
 from quips.train import Codebook, TrainConfig, train_quip
@@ -94,6 +96,71 @@ class TestPartitioner:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             train_partitioner(make_set(np.ones((3, 2))), P=5, seed=0)
+
+
+def doubled_data_partitioner(data, P, seed, iters=25):
+    """train_partitioner with the cross term as (2x) . c over a doubled copy
+    of the data; also counts the empty clusters it repaired."""
+    n = data.shape[0]
+    centers = _kmeanspp_init(data, P, np.random.default_rng(seed))
+    norms = np.sum(data ** 2, axis=1, keepdims=True)
+    twice = 2.0 * data
+    d2 = np.empty((n, P))
+    assign = np.full(n, -1, dtype=np.int64)
+    repaired = 0
+    for _ in range(iters):
+        np.subtract(norms, np.matmul(twice, centers.T, out=d2), out=d2)
+        d2 += np.sum(centers ** 2, axis=1)
+        new_assign = np.argmin(d2, axis=1)
+        counts = np.bincount(new_assign, minlength=P)
+        for p in np.flatnonzero(counts == 0):
+            big = np.argmax(counts)
+            members = np.flatnonzero(new_assign == big)
+            new_assign[members[np.argmax(d2[members, big])]] = p
+            counts[big] -= 1
+            counts[p] += 1
+            repaired += 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for p, members in enumerate(_members(assign, counts)):
+            centers[p] = data[members].mean(axis=0)
+    return centers, _members(assign, np.bincount(assign, minlength=P)), repaired
+
+
+class TestPartitionerBits:
+    @pytest.mark.parametrize("n,d,P,seed", [(300, 6, 7, 0), (2000, 64, 20, 1),
+                                            (1000, 17, 50, 2), (50, 3, 50, 3)])
+    def test_equals_doubled_data_form(self, n, d, P, seed):
+        data = np.random.default_rng(seed).standard_normal((n, d)) * 3
+        centers, membership = train_partitioner(make_set(data), P, seed)
+        want_centers, want_membership, _ = doubled_data_partitioner(data, P, seed)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert len(membership) == len(want_membership)
+        for got, want in zip(membership, want_membership):
+            np.testing.assert_array_equal(got, want)
+
+    def test_equals_doubled_data_form_through_repair(self):
+        # three distinct points for six clusters: seeding repeats centers and
+        # the first assignment leaves clusters empty
+        data = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]]), 10, axis=0)
+        centers, membership = train_partitioner(make_set(data), 6, 0)
+        want_centers, want_membership, repaired = doubled_data_partitioner(data, 6, 0)
+        assert repaired > 0
+        assert centers.tobytes() == want_centers.tobytes()
+        for got, want in zip(membership, want_membership):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_copy_of_the_data_beside_the_distances(self):
+        n, d, P = 20_000, 32, 100
+        vs = make_set(np.random.default_rng(0).standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            train_partitioner(vs, P, 0, iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - n * P * 8 < vs.data.nbytes / 2
 
 
 class TestQueryAssignment:

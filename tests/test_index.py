@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from quips.index import (QueryLookupTable, QuipIndex, _rank_top_n, approximate_i
                          exact_top_n, index_to_bytes, load_index,
                          predicted_file_size, save_index, search_batch, search_top_n,
                          stack_lookup_tables, table_scores)
-from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec,
-                            apply_preprocess_rows, make_chunk_layout, make_preprocess)
+from quips.train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
+                         _assign_tile_rows, _blocks_of)
+from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
+                            apply_preprocess_rows, make_chunk_layout, make_preprocess,
+                            pad_to)
 
 
 def make_set(data, ids=None):
@@ -79,6 +82,93 @@ class TestEncode:
                 best = min(dists)
                 got = dists[codes.codes[i, k]]
                 assert got <= best + 1e-9
+
+
+def whole_matrix_encode(database, codebook, cov, layout):
+    """Every block of the whole database as its own contiguous copy, then one
+    assignment per block."""
+    padded = pad_to(database.data, layout.d_padded)
+    codes = np.empty((database.n, layout.K), dtype=np.int32)
+    for k in range(layout.K):
+        codes[:, k] = mahalanobis_assign(
+            np.ascontiguousarray(layout.block(padded, k)),
+            np.asarray(codebook.centroids[k], dtype=np.float64), cov.matrices[k])
+    return codes
+
+
+def assert_encodes_as_whole_matrix(vs, cb, cov, layout):
+    got = encode_database(vs, cb, cov, layout).codes
+    assert got.dtype == np.int32
+    assert got.tobytes() == whole_matrix_encode(vs, cb, cov, layout).tobytes(), vs.n
+
+
+def encode_instance(n, d, K, C, kind="permutation", dtype=np.float64, seed=0):
+    """n preprocessed rows, a random codebook and a covariance from other rows."""
+    rng = np.random.default_rng([n, d, K, C, seed])
+    spec, layout = make_preprocess(kind, seed, make_chunk_layout(d, K))
+    vs = apply_preprocess(make_set(rng.standard_normal((n, d)) * 3), spec)
+    sample = apply_preprocess(make_set(rng.standard_normal((500, d)) * 3), spec)
+    cov = regularize(estimate_subspace_covariances(sample, layout), 1e-6)
+    cb = Codebook(layout=layout,
+                  centroids=(rng.standard_normal((K, C, layout.l)) * 3).astype(dtype))
+    return vs, cb, cov, layout
+
+
+def encode_sizes(C, d_padded):
+    """Row counts at and around the assignment tile and the encoding chunk."""
+    tile = _assign_tile_rows(C)
+    chunk = tile * max(1, quips.index._ENCODE_VALUES // (tile * d_padded))
+    return sorted({1, 2, tile - 1, tile, tile + 1, chunk - 1, chunk, chunk + 1,
+                   2 * chunk + 1})
+
+
+class TestStreamedEncode:
+    """encode_database streams row chunks; its codes must equal the
+    whole-matrix encoding bit for bit."""
+
+    @pytest.mark.parametrize("C", [16, 256, 300])
+    def test_equals_whole_matrix(self, C):
+        for n in encode_sizes(C, 64):
+            assert_encodes_as_whole_matrix(*encode_instance(n, 64, 8, C))
+
+    @pytest.mark.parametrize("C", [256, 300])
+    def test_width_64_equals_whole_matrix(self, C):
+        # K=1: one 64-wide block, where a differently tiled GEMM could round
+        # differently
+        for n in encode_sizes(C, 64)[1::2]:
+            assert_encodes_as_whole_matrix(*encode_instance(n, 64, 1, C))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14])
+    def test_width_64_near_ties(self, eps):
+        # rows near twin centroids tie to the last bit, so a GEMM over rows
+        # off the tile grid (which rounds differently at this width) flips
+        # codes
+        n = encode_sizes(300, 64)[-1]
+        vs, cb, cov, layout = encode_instance(n, 64, 1, 300)
+        rng = np.random.default_rng(1)
+        cents = cb.centroids.copy()
+        cents[:, 150:] = cents[:, :150] * (1 + eps)
+        data = vs.data.copy()
+        data[::2] = (cents[0, rng.integers(0, 150, len(data[::2]))]
+                     + 1e-3 * rng.standard_normal((len(data[::2]), 64)))
+        assert_encodes_as_whole_matrix(make_set(data), Codebook(layout=layout, centroids=cents),
+                                       cov, layout)
+
+    @pytest.mark.parametrize("kind", PreprocessSpec.KINDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_preprocess_kinds_and_padding(self, kind, dtype):
+        for n in (513, 8193):  # one past a tile, one past a chunk (C=256, 64 wide)
+            assert_encodes_as_whole_matrix(*encode_instance(n, 60, 8, 256, kind, dtype))
+
+    def test_holds_no_copy_of_the_database(self):
+        vs, cb, cov, layout = encode_instance(100_000, 64, 8, 256)
+        tracemalloc.start()
+        try:
+            encode_database(vs, cb, cov, layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vs.data.nbytes / 4
 
 
 class TestLookupTable:

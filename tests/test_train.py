@@ -562,6 +562,21 @@ class TestRowTiles:
                           whole_matrix_assign(blocks, cents, sigma))
 
 
+class TestBlocksOf:
+    @pytest.mark.parametrize("d,K", [(6, 2), (7, 3), (64, 1), (64, 8), (60, 8)])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_one_tensor_of_contiguous_blocks(self, d, K, n):
+        from quips.vecstore import pad_to
+        layout = make_chunk_layout(d, K)
+        data = np.random.default_rng([n, d, K]).standard_normal((n, d))
+        blocks = _blocks_of(data, layout)
+        assert blocks.shape == (K, n, layout.l) and blocks.flags.c_contiguous
+        for k in range(K):
+            want = np.ascontiguousarray(layout.block(pad_to(data, layout.d_padded), k))
+            assert blocks[k].flags.c_contiguous
+            assert_bits_equal(blocks[k], want)
+
+
 @pytest.mark.usefixtures("small_tiles")
 class TestTiledKernels:
     @pytest.mark.parametrize("n", EDGE_SIZES)

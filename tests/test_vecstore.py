@@ -87,11 +87,30 @@ class TestCsv:
         np.testing.assert_array_equal(vs.ids, [7, 9])
         np.testing.assert_array_equal(vs.data, [[1.5, 2.5], [0.5, 0.25]])
 
+    def test_duplicate_ids_name_the_file(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("7,1.5,2.5\n9,0.5,0.25\n7,1.0,1.0\n")
+        with pytest.raises(DataError, match=r"v\.csv: ids are not unique"):
+            load_vectors(str(path), "csv", id_column=True)
+
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("1,2\nnan,4\n")
         with pytest.raises(DataError, match="row 1"):
             load_vectors(str(path), "csv")
+
+
+class TestDenseVectorSet:
+    @pytest.mark.parametrize("ids", [[0, 0], [3, 1, 2, 1], [5, 4, 3, 2, 5],
+                                     [-1, 2**62, -1]])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(DataError, match="ids are not unique"):
+            DenseVectorSet(data=np.zeros((len(ids), 2)), ids=np.array(ids, dtype=np.int64))
+
+    @pytest.mark.parametrize("ids", [[], [4], [3, 1, 2], [-1, 2**62, 0]])
+    def test_distinct_ids_accepted(self, ids):
+        vs = DenseVectorSet(data=np.zeros((len(ids), 2)), ids=np.array(ids, dtype=np.int64))
+        assert vs.n == len(ids)
 
 
 class TestSynthetic:
