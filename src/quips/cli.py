@@ -161,7 +161,8 @@ def _run(args) -> int:
             evalbench.ExperimentConfig(seed=args.seed, preprocess="permutation", ridge=1e-6))
         cfg = TrainConfig(K=args.k, C=args.c, seed=args.seed)
         pindex = build_hybrid(dbp, args.partitions, cov, cfg, spec, args.seed)
-        np.savez(args.out, centers=pindex.centers, members=pindex.rows,
+        # the CLI loads ids as row numbers, so the ids are each partition's rows
+        np.savez(args.out, centers=pindex.centers, members=pindex.ids,
                  offsets=pindex.offsets)
         if args.queries:
             qs = load_vectors(args.queries, args.format)

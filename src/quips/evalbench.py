@@ -102,7 +102,6 @@ class TheoryCheckReport:
     subspace_losses: np.ndarray
     q_max: float
     delta: float
-    ball_center: np.ndarray
     ball_radius: float
 
     def to_dict(self) -> dict:
@@ -410,8 +409,7 @@ def concentration_check(index: QuipIndex, queries: DenseVectorSet,
     delta = max(float(np.max(np.linalg.norm(
         layout.block(dbp, k) - cents[k][index.codes.codes[:, k]], axis=1)))
         for k in range(layout.K))
-    center, radius = enclosing_ball(db_data)
+    _, radius = enclosing_ball(db_data)
     return TheoryCheckReport(a=a, epsilon=epsilon, empirical_failure_rate=rate,
                              variance_bound=bound, subspace_losses=losses,
-                             q_max=q_max, delta=delta, ball_center=center,
-                             ball_radius=radius)
+                             q_max=q_max, delta=delta, ball_radius=radius)

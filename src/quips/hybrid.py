@@ -1,72 +1,24 @@
 """Coarse k-means partitioning with a quantized scan inside each probed partition.
 
 Partitions are learned with plain Euclidean k-means and stored as one
-contiguous index in partition order (the inverted-file layout): a partition
-is a row slice.  At query time the probe partitions with the largest dot
-product between query and partition center are scanned, one lookup table and
-one scan per distinct codebook among them, and one top-N selection runs over
-the union of their scores.
+QuipIndex in partition order (the inverted-file layout): a partition is a
+row slice.  index._search does the probing and scanning for hybrid_search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _rank_top_n,
-                    build_lookup_table, check_queries, encode_database, table_scores)
-# search_top_n is unused here but stays bound: quipsbench's tracer test checks
-# that it is wrapped in this namespace too.
-from .index import search_top_n  # noqa: F401
+from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _search,
+                    encode_database)
+# Bound here too so that quipsbench's tracer, which looks functions up by
+# layer, finds them in this namespace: assign_query_partitions is timed as
+# the hybrid layer's partition choice, and search_top_n is checked by its
+# binding test.
+from .index import assign_query_partitions, search_top_n  # noqa: F401
 from .train import Codebook, CodeMatrix, TrainConfig, train_quip
-from .vecstore import (ChunkLayout, DenseVectorSet, PreprocessSpec, apply_preprocess_rows,
-                       pad_to)
-
-
-@dataclass(frozen=True)
-class PartitionIndex:
-    """Every partition's rows in one store, in partition order.
-
-    Partition p owns rows offsets[p]:offsets[p+1] of codes, ids and rows.
-    codebooks holds one codebook shared by every partition, or one per
-    partition.
-    """
-
-    centers: np.ndarray  # (P, d) float64
-    offsets: np.ndarray  # (P+1,) int64
-    codes: np.ndarray  # (n, K) code_dtype(C)
-    ids: np.ndarray  # (n,) int64
-    rows: np.ndarray  # (n,) int64 database row index of each stored row
-    codebooks: tuple[Codebook, ...]  # centroids float32; length 1 or P
-    preprocess: PreprocessSpec
-    layout: ChunkLayout
-    cov: SubspaceCovariances
-
-    @property
-    def P(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
-    def membership(self) -> list[np.ndarray]:
-        """Per-partition database row indices (views of rows)."""
-        return np.split(self.rows, self.offsets[1:-1])
-
-    def codebook_of(self, p: int) -> int:
-        return 0 if len(self.codebooks) == 1 else p
-
-    def partition(self, p: int) -> QuipIndex:
-        """Partition p as a flat index over views of the shared arrays."""
-        lo, hi = self.offsets[p], self.offsets[p + 1]
-        return QuipIndex(codebook=self.codebooks[self.codebook_of(p)],
-                         codes=CodeMatrix(codes=self.codes[lo:hi]),
-                         preprocess=self.preprocess, layout=self.layout,
-                         ids=self.ids[lo:hi], cov=self.cov)
+from .vecstore import DenseVectorSet, PreprocessSpec
 
 
 def _kmeanspp_init(data: np.ndarray, P: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,7 +85,7 @@ def _members(assign: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
 def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
                  cfg: TrainConfig, preprocess: PreprocessSpec, seed: int,
                  shared_codebook: Codebook | None = None,
-                 shared_codes: CodeMatrix | None = None) -> PartitionIndex:
+                 shared_codes: CodeMatrix | None = None) -> QuipIndex:
     """Partition, then quantize each partition.
 
     With shared_codebook, every partition is encoded against the one float32
@@ -169,52 +121,17 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
             codes = np.concatenate([
                 encode_database(part(members), codebooks[0], cov, codebooks[0].layout).codes
                 for members in membership])
-    return PartitionIndex(centers=centers, offsets=offsets,
-                          codes=_narrow_codes(codes, codebooks[0].C),
-                          ids=database.ids[rows], rows=rows, codebooks=codebooks,
-                          preprocess=preprocess, layout=codebooks[0].layout, cov=cov)
+    return QuipIndex(codebooks=codebooks,
+                     codes=CodeMatrix(codes=_narrow_codes(codes, codebooks[0].C)),
+                     preprocess=preprocess, layout=codebooks[0].layout,
+                     ids=database.ids[rows], cov=cov, offsets=offsets, centers=centers)
 
 
-def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
-                            probe: int) -> np.ndarray:
-    """The probe partitions with the largest q . center, ties by ascending index."""
-    if probe > centers.shape[0]:
-        raise ValueError("probe exceeds partition count")
-    dots = centers @ pad_to(np.asarray(q, dtype=np.float64), centers.shape[1])
-    order = np.lexsort((np.arange(centers.shape[0]), -dots))
-    return order[:probe]
-
-
-def hybrid_search(pindex: PartitionIndex, q: np.ndarray, N: int,
+def hybrid_search(pindex: QuipIndex, q: np.ndarray, N: int,
                   probe: int) -> tuple[TopNResult, int]:
-    """Top-N of a raw query over the probed partitions, plus the candidate
-    count scanned.
-
-    The query is preprocessed once; that vector picks the partitions (whose
-    centers live in preprocessed space).  The probed partitions are grouped
-    by codebook, and each group gets one lookup table and one scan over its
-    concatenated row slices: with a shared codebook that is one table and one
-    scan per query.  One selection runs over the union of the scores.  A
-    query of another width than the database's or with a non-finite entry
-    is a ValueError.
+    """Top-N of a raw query over its probe partitions, plus the candidate
+    count scanned.  With a shared codebook, probe=P equals search_top_n bit
+    for bit.  A query of another width than the database's or with a
+    non-finite entry is a ValueError.
     """
-    if pindex.P == 0:
-        raise ValueError("empty index")
-    if not 1 <= probe <= pindex.P:
-        raise ValueError(f"probe must be in [1, {pindex.P}]")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    q = np.asarray(q, dtype=np.float64)
-    check_queries(q, pindex.layout)
-    qp = apply_preprocess_rows(q, pindex.preprocess)
-    groups: dict[int, list[slice]] = {}
-    for p in assign_query_partitions(qp, pindex.centers, probe):
-        groups.setdefault(pindex.codebook_of(p),
-                          []).append(slice(pindex.offsets[p], pindex.offsets[p + 1]))
-    ids, scores = [], []
-    for c, slices in groups.items():
-        table = build_lookup_table(qp, pindex.codebooks[c])
-        scores.append(table_scores(table, np.concatenate([pindex.codes[s] for s in slices])))
-        ids.extend(pindex.ids[s] for s in slices)
-    ids = np.concatenate(ids)
-    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
+    return next(_search(pindex, np.atleast_2d(q), N, probe))

@@ -8,6 +8,7 @@ table of partial dot products; scoring a row is K table reads and adds.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +26,42 @@ _MAX_FILE_C = 0xFFFF  # the codes section stores C as a u16
 
 @dataclass(frozen=True)
 class QuipIndex:
-    codebook: Codebook  # centroids stored float32
+    """Every partition's rows in one store, in partition order.
+
+    Partition p owns rows offsets[p]:offsets[p+1] of codes and ids, and
+    codebooks holds one codebook shared by every partition or one per
+    partition.  A flat index is one partition: offsets [0, n] and a center
+    that no search reads.
+    """
+
+    codebooks: tuple[Codebook, ...]  # centroids stored float32; length 1 or P
     codes: CodeMatrix
     preprocess: PreprocessSpec
     layout: ChunkLayout
     ids: np.ndarray  # (n,) int64
     cov: SubspaceCovariances
+    offsets: np.ndarray  # (P+1,) int64
+    centers: np.ndarray  # (P, d_padded) float64, in preprocessed space
+
+    @property
+    def P(self) -> int:
+        return len(self.offsets) - 1
 
     @property
     def n(self) -> int:
         return self.codes.n
 
     @property
+    def codebook(self) -> Codebook:
+        """The codebook every partition shares."""
+        if len(self.codebooks) != 1:
+            raise ValueError("the index has one codebook per partition; "
+                             "search it with a probe")
+        return self.codebooks[0]
+
+    @property
     def bits_per_vector(self) -> int:
-        return self.layout.K * int(np.ceil(np.log2(self.codebook.C)))
+        return self.layout.K * int(np.ceil(np.log2(self.codebooks[0].C)))
 
 
 @dataclass(frozen=True)
@@ -84,16 +107,23 @@ def _rank_top_n(ids: np.ndarray, scores: np.ndarray, N: int) -> TopNResult:
 
 def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
                 preprocess: PreprocessSpec, cov: SubspaceCovariances) -> QuipIndex:
-    """Freeze trained artifacts into a searchable index.
+    """Freeze trained artifacts into a searchable flat index.
 
     Centroids are cast to float32 up front so in-memory and reloaded indexes
     score bit-identically; a codebook that is float32 already is shared, not
     copied.  Codes are held as code_dtype(C).
     """
     cb = _float32_codebook(codebook)
-    return QuipIndex(codebook=cb, codes=CodeMatrix(codes=_narrow_codes(codes.codes, cb.C)),
-                     preprocess=preprocess, layout=codebook.layout,
-                     ids=database.ids.copy(), cov=cov)
+    return _flat_index(cb, CodeMatrix(codes=_narrow_codes(codes.codes, cb.C)), preprocess,
+                       codebook.layout, database.ids.copy(), cov)
+
+
+def _flat_index(codebook: Codebook, codes: CodeMatrix, preprocess: PreprocessSpec,
+                layout: ChunkLayout, ids: np.ndarray, cov: SubspaceCovariances) -> QuipIndex:
+    """One partition holding every row."""
+    return QuipIndex(codebooks=(codebook,), codes=codes, preprocess=preprocess, layout=layout,
+                     ids=ids, cov=cov, offsets=np.array([0, len(ids)], dtype=np.int64),
+                     centers=np.zeros((1, layout.d_padded)))
 
 
 def _float32_codebook(codebook: Codebook) -> Codebook:
@@ -190,49 +220,92 @@ def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
     return out if table.values.ndim == 3 else out[0]
 
 
-def check_queries(Q: np.ndarray, layout: ChunkLayout) -> None:
-    """Raise ValueError unless the raw query (rows) are layout.original_d wide
-    and finite; a wrong width would otherwise be padded or cut silently."""
-    if Q.shape[-1] != layout.original_d:
-        raise ValueError(f"queries have {Q.shape[-1]} dims, the index wants "
-                         f"{layout.original_d}")
-    if not np.isfinite(Q).all():
-        raise ValueError("queries hold a non-finite value")
+def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
+                            probe: int) -> np.ndarray:
+    """The probe partitions with the largest q . center, ties by ascending index."""
+    if probe > centers.shape[0]:
+        raise ValueError("probe exceeds partition count")
+    dots = centers @ pad_to(np.asarray(q, dtype=np.float64), centers.shape[1])
+    order = np.lexsort((np.arange(centers.shape[0]), -dots))
+    return order[:probe]
 
 
-def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-N of every raw query row of Q (B, original_d): ids and scores, each
-    (B, min(N, n)); row b equals search_top_n(index, Q[b], N) bit for bit.
-    A query of another width or with a non-finite entry is a ValueError.
+def _search(index: QuipIndex, Q: np.ndarray, N: int,
+            probe: int | None = None) -> Iterator[tuple[TopNResult, int]]:
+    """The search engine: the top-N of every raw query row of Q (B,
+    original_d), each with the number of rows scored for it.
 
-    The batch is preprocessed once; each block of queries gets one stacked
-    table and one scan of the codes, then a selection per query.
+    The input is checked and the batch preprocessed before this returns; a
+    query of another width or with a non-finite entry is a ValueError.
+    Without a probe every row is scored: each block of queries gets one
+    stacked table and one scan of the codes, then a selection per query.
+    With one, each query picks its probe partitions by q . center (the
+    centers live in preprocessed space); the probed partitions are grouped
+    by codebook, each group gets one table and one scan over its row slices,
+    and one selection runs over the union of their scores.
     """
     if index.n == 0:
         raise ValueError("empty index")
     if N < 1:
         raise ValueError("N must be >= 1")
+    if probe is not None and not 1 <= probe <= index.P:
+        raise ValueError(f"probe must be in [1, {index.P}]")
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2:
         raise ValueError(f"queries must be a 2-d array; got {Q.ndim}-d")
-    check_queries(Q, index.layout)
+    # a query of another width would otherwise be padded or cut silently
+    if Q.shape[-1] != index.layout.original_d:
+        raise ValueError(f"queries have {Q.shape[-1]} dims, the index wants "
+                         f"{index.layout.original_d}")
+    if not np.isfinite(Q).all():
+        raise ValueError("queries hold a non-finite value")
     Qp = apply_preprocess_rows(Q, index.preprocess)
-    m = min(N, index.n)
-    ids = np.empty((len(Qp), m), dtype=np.int64)
-    scores = np.empty((len(Qp), m))
+    if probe is None:
+        return _scan_all(index, Qp, N)
+    return (_scan_probed(index, qp, N, probe) for qp in Qp)
+
+
+def _scan_all(index: QuipIndex, Qp: np.ndarray, N: int) -> Iterator[tuple[TopNResult, int]]:
     block = max(1, _BLOCK_SCORES // index.n)
     for lo in range(0, len(Qp), block):
         table = stack_lookup_tables(Qp[lo:lo + block], index.codebook)
-        for b, row in enumerate(table_scores(table, index.codes.codes), start=lo):
-            top = _rank_top_n(index.ids, row, N)
-            ids[b], scores[b] = top.ids, top.scores
+        for row in table_scores(table, index.codes.codes):
+            yield _rank_top_n(index.ids, row, N), index.n
+
+
+def _scan_probed(index: QuipIndex, qp: np.ndarray, N: int,
+                 probe: int) -> tuple[TopNResult, int]:
+    shared = len(index.codebooks) == 1
+    groups: dict[int, list[slice]] = {}
+    for p in assign_query_partitions(qp, index.centers, probe):
+        groups.setdefault(0 if shared else p,
+                          []).append(slice(index.offsets[p], index.offsets[p + 1]))
+    ids, scores = [], []
+    for c, slices in groups.items():
+        table = build_lookup_table(qp, index.codebooks[c])
+        scores.append(table_scores(table, np.concatenate([index.codes.codes[s]
+                                                          for s in slices])))
+        ids.extend(index.ids[s] for s in slices)
+    ids = np.concatenate(ids)
+    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
+
+
+def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-N of every raw query row of Q (B, original_d) over every row: ids
+    and scores, each (B, min(N, n)); row b equals search_top_n(index, Q[b], N)
+    bit for bit.  An index with one codebook per partition is a ValueError.
+    """
+    results = _search(index, Q, N)
+    ids = np.empty((len(Q), min(N, index.n)), dtype=np.int64)
+    scores = np.empty(ids.shape)
+    for b, (top, _) in enumerate(results):
+        ids[b], scores[b] = top.ids, top.scores
     return ids, scores
 
 
 def search_top_n(index: QuipIndex, q: np.ndarray, N: int) -> TopNResult:
     """Top-N of one raw query: a batch of one."""
-    ids, scores = search_batch(index, np.atleast_2d(q), N)
-    return TopNResult(ids=ids[0], scores=scores[0])
+    return next(_search(index, np.atleast_2d(q), N))[0]
 
 
 def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
@@ -277,6 +350,8 @@ def code_dtype(C: int) -> np.dtype:
 
 
 def index_to_bytes(index: QuipIndex) -> bytes:
+    if index.P != 1:
+        raise ValueError(f"the index file format holds one partition; got P={index.P}")
     if index.codebook.C > _MAX_FILE_C:
         raise ValueError(f"C={index.codebook.C} exceeds the index file format's "
                          f"limit of {_MAX_FILE_C} centroids per subspace")
@@ -319,7 +394,12 @@ def save_index(index: QuipIndex, path: str) -> None:
 
 
 def load_index(path: str) -> QuipIndex:
-    """Read an index file; any malformed or inconsistent content is a DataError."""
+    """Read an index file; any malformed or inconsistent content is a DataError.
+
+    The arrays are read-only views of the file's bytes.  Copying them out
+    freed that much heap per load, which glibc returned to the system on
+    some paths; re-faulting it made such loads 4-6x slower.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != MAGIC or len(buf) < 6:
@@ -347,7 +427,7 @@ def load_index(path: str) -> QuipIndex:
     preprocess = PreprocessSpec(kind=PreprocessSpec.KINDS[kind], seed=seed, d_padded=pre_d)
     _check_size(path, "covariance", cov_p, 9 + K * l * l * 8)
     src, ridge = struct.unpack_from("<Bd", cov_p)
-    mats = np.frombuffer(cov_p[9:], dtype="<f8").reshape(K, l, l).copy()
+    mats = np.frombuffer(cov_p[9:], dtype="<f8").reshape(K, l, l)
     cov = SubspaceCovariances(layout=layout, matrices=mats,
                               source="database" if src == 0 else "example_queries",
                               ridge=ridge)
@@ -359,12 +439,11 @@ def load_index(path: str) -> QuipIndex:
     _check_size(path, "codebook", cb_p, K * C * l * 4)
     _check_size(path, "codes", codes_p, 6 + n * K * dt.itemsize)
     _check_size(path, "ids", ids_p, n * 8)
-    cents = np.frombuffer(cb_p, dtype="<f4").reshape(K, C, l).copy()
+    cents = np.frombuffer(cb_p, dtype="<f4").reshape(K, C, l)
     codebook = Codebook(layout=layout, centroids=cents)
-    codes = np.frombuffer(codes_p[6:], dtype=dt).reshape(n, K).copy()
+    codes = np.frombuffer(codes_p[6:], dtype=dt).reshape(n, K)
     # a u8 code is always < 256, so a full-width codebook needs no scan
     if C < 1 << (8 * dt.itemsize) and codes.size and codes.max() >= C:
         raise DataError(f"{path}: code {int(codes.max())} out of range [0, {C})")
-    ids = np.frombuffer(ids_p, dtype="<i8").astype(np.int64)
-    return QuipIndex(codebook=codebook, codes=CodeMatrix(codes=codes),
-                     preprocess=preprocess, layout=layout, ids=ids, cov=cov)
+    ids = np.frombuffer(ids_p, dtype="<i8")
+    return _flat_index(codebook, CodeMatrix(codes=codes), preprocess, layout, ids, cov)

@@ -7,15 +7,11 @@ L2 ALSH produces integer bucket codes ranked by matched-bucket count.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .index import TopNResult, _rank_top_n
-
-CODE_MAGIC = b"LSHC"
-SCHEMES = ("signed_alsh", "simple_lsh")
 
 
 @dataclass(frozen=True)
@@ -133,27 +129,3 @@ def hamming_search(codes: BinaryCodeSet, qcode: BinaryCodeSet, N: int) -> TopNRe
     xored = np.bitwise_xor(codes.packed, qcode.packed[0][None, :])
     dists = np.bitwise_count(xored).sum(axis=1).astype(np.float64)
     return _rank_top_n(codes.ids, -dists, N)
-
-
-def save_codes(codes: BinaryCodeSet, path: str) -> None:
-    with open(path, "wb") as f:
-        f.write(CODE_MAGIC)
-        f.write(struct.pack("<BII", SCHEMES.index(codes.scheme), codes.b_bits,
-                            codes.packed.shape[0]))
-        f.write(codes.ids.astype("<i8").tobytes())
-        f.write(codes.packed.tobytes())
-
-
-def load_codes(path: str) -> BinaryCodeSet:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:4] != CODE_MAGIC:
-        raise ValueError(f"{path}: not a binary code file")
-    scheme_i, b_bits, n = struct.unpack_from("<BII", buf, 4)
-    off = 4 + 9
-    ids = np.frombuffer(buf, dtype="<i8", count=n, offset=off).astype(np.int64)
-    off += n * 8
-    width = (b_bits + 7) // 8
-    packed = np.frombuffer(buf, dtype=np.uint8, count=n * width, offset=off)
-    return BinaryCodeSet(packed=packed.reshape(n, width).copy(), b_bits=b_bits,
-                         scheme=SCHEMES[scheme_i], ids=ids)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quips.hybrid
+import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.hybrid import (PartitionIndex, _kmeanspp_init, _members, assign_query_partitions,
-                          build_hybrid, hybrid_search, train_partitioner)
-from quips.index import (_rank_top_n, build_index, build_lookup_table, code_dtype,
-                         search_top_n, table_scores)
-from quips.train import Codebook, TrainConfig, train_quip
+from quips.hybrid import (_kmeanspp_init, _members, assign_query_partitions, build_hybrid,
+                          hybrid_search, train_partitioner)
+from quips.index import (QuipIndex, _rank_top_n, build_index, build_lookup_table, code_dtype,
+                         save_index, search_batch, search_top_n, table_scores)
+from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip
 from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
                             apply_preprocess_rows, make_chunk_layout, make_preprocess)
 
@@ -41,10 +43,19 @@ def per_partition_search(pindex, q, N, probe):
         cb = pindex.codebooks[p if len(pindex.codebooks) > 1 else 0]
         if id(cb) not in tables:
             tables[id(cb)] = build_lookup_table(qp, cb)
-        scores.append(table_scores(tables[id(cb)], pindex.codes[lo:hi]))
+        scores.append(table_scores(tables[id(cb)], pindex.codes.codes[lo:hi]))
         ids.append(pindex.ids[lo:hi])
     ids = np.concatenate(ids)
     return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
+
+
+def partition_index(pindex, p):
+    """Partition p as a flat index of its own."""
+    lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
+    return build_index(make_set(np.zeros((hi - lo, 1)), ids=pindex.ids[lo:hi]),
+                       pindex.codebooks[p if len(pindex.codebooks) > 1 else 0],
+                       CodeMatrix(codes=pindex.codes.codes[lo:hi]), pindex.preprocess,
+                       pindex.cov)
 
 
 class TestPartitioner:
@@ -164,6 +175,9 @@ class TestPartitionerBits:
 
 
 class TestQueryAssignment:
+    def test_bound_in_the_hybrid_namespace(self):
+        assert quips.hybrid.assign_query_partitions is quips.index.assign_query_partitions
+
     def test_full_sort_oracle(self):
         rng = np.random.default_rng(6)
         centers = rng.standard_normal((10, 4))
@@ -218,19 +232,18 @@ class TestHybridSearch:
             pindex = build_hybrid(self.vs, P=5, cov=self.cov, cfg=self.cfg,
                                   preprocess=self.spec, seed=1, shared_codebook=cb,
                                   shared_codes=shared_codes)
-            first = pindex.partition(0).codebook
-            assert all(pindex.partition(p).codebook is first for p in range(pindex.P))
-            assert first.centroids.dtype == np.float32
+            assert len(pindex.codebooks) == 1 and pindex.P == 5
+            assert pindex.codebook.centroids.dtype == np.float32
 
     def test_own_codebooks_equal_per_partition_merge(self):
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=5)
-        assert len({id(pindex.partition(p).codebook) for p in range(pindex.P)}) == 4
+        assert len({id(cb) for cb in pindex.codebooks}) == pindex.P == 4
         for q in self.queries:
             for probe in (1, 2, 3):
                 res, _ = hybrid_search(pindex, q, N=10, probe=probe)
                 # the merge it replaced: top-N per probed partition, then top-N
-                parts = [pindex.partition(p)
+                parts = [partition_index(pindex, p)
                          for p in assign_query_partitions(q, pindex.centers, probe)]
                 tops = [search_top_n(sub, q, 10) for sub in parts]
                 ids = np.concatenate([t.ids for t in tops])
@@ -252,7 +265,7 @@ class TestHybridSearch:
         q = self.queries[0]
         for probe in (1, 3, 6):
             parts = assign_query_partitions(q, pindex.centers, probe)
-            expect = sum(len(pindex.membership[p]) for p in parts)
+            expect = np.diff(pindex.offsets)[parts].sum()
             _, scanned = hybrid_search(pindex, q, N=5, probe=probe)
             assert scanned == expect
 
@@ -277,10 +290,9 @@ class TestHybridSearch:
     def test_single_partition_equals_flat_scan(self):
         pindex = build_hybrid(self.vs, P=1, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=0)
-        sub = pindex.partition(0)
         for q in self.queries[:3]:
             res, scanned = hybrid_search(pindex, q, N=7, probe=1)
-            ref = search_top_n(sub, q, 7)
+            ref = search_top_n(pindex, q, 7)
             np.testing.assert_array_equal(res.ids, ref.ids)
             assert scanned == 200
 
@@ -357,12 +369,11 @@ class TestContiguousLayout:
                               shared_codes=codes)
         _, membership = train_partitioner(self.vs, 5, 1)
         rows = np.concatenate(membership)
-        np.testing.assert_array_equal(pindex.rows, rows)
         np.testing.assert_array_equal(pindex.offsets,
                                       np.cumsum([0] + [len(m) for m in membership]))
-        assert pindex.offsets.dtype == np.int64 and pindex.rows.dtype == np.int64
-        np.testing.assert_array_equal(pindex.codes, codes.codes[rows])
-        assert pindex.codes.dtype == code_dtype(8)
+        assert pindex.offsets.dtype == np.int64
+        np.testing.assert_array_equal(pindex.codes.codes, codes.codes[rows])
+        assert pindex.codes.codes.dtype == code_dtype(8)
         np.testing.assert_array_equal(pindex.ids, self.vs.ids[rows])
         assert len(pindex.codebooks) == 1 and pindex.n == 150
 
@@ -371,14 +382,22 @@ class TestContiguousLayout:
                               preprocess=self.spec, seed=2)
         assert len(pindex.codebooks) == 4
         _, expect = train_partitioner(self.vs, 4, 2)
-        for p, members in enumerate(pindex.membership):
-            np.testing.assert_array_equal(members, expect[p])
-            assert np.shares_memory(members, pindex.rows)
-            part = pindex.partition(p)
+        for p, members in enumerate(expect):
+            lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
+            np.testing.assert_array_equal(pindex.ids[lo:hi], self.vs.ids[members])
+            part = partition_index(pindex, p)
             assert part.codebook is pindex.codebooks[p]
-            assert np.shares_memory(part.codes.codes, pindex.codes)
-            assert np.shares_memory(part.ids, pindex.ids)
-            np.testing.assert_array_equal(part.ids, self.vs.ids[members])
+            np.testing.assert_array_equal(part.codes.codes, pindex.codes.codes[lo:hi])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_save_refuses_more_than_one_partition(self, tmp_path, shared):
+        cb = train_quip(self.vs, self.cov, self.cfg)[0] if shared else None
+        pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
+                              preprocess=self.spec, seed=2, shared_codebook=cb)
+        path = tmp_path / "p.quip"
+        with pytest.raises(ValueError, match="holds one partition; got P=4"):
+            save_index(pindex, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_row_partitions(self, shared):
@@ -425,23 +444,41 @@ class TestHybridMatchesPerPartitionScan:
             Codebook(layout=layout, centroids=rng.standard_normal(
                 (K, C, layout.l)).astype(np.float32))
             for _ in range(1 if shared else P))
-        pindex = PartitionIndex(
-            centers=rng.standard_normal((P, layout.d_padded)),
-            offsets=np.cumsum([0] + sizes, dtype=np.int64),
-            codes=rng.integers(0, C, (n, K)).astype(code_dtype(C)),
-            ids=rng.permutation(n).astype(np.int64) * 3 - n,
-            rows=rng.permutation(n).astype(np.int64), codebooks=codebooks,
-            preprocess=spec, layout=layout,
+        pindex = QuipIndex(
+            codebooks=codebooks,
+            codes=CodeMatrix(codes=rng.integers(0, C, (n, K)).astype(code_dtype(C))),
+            preprocess=spec, layout=layout, ids=rng.permutation(n).astype(np.int64) * 3 - n,
             cov=SubspaceCovariances(layout=layout, source="database",
-                                    matrices=np.tile(np.eye(layout.l), (K, 1, 1))))
+                                    matrices=np.tile(np.eye(layout.l), (K, 1, 1))),
+            offsets=np.cumsum([0] + sizes, dtype=np.int64),
+            centers=rng.standard_normal((P, layout.d_padded)))
         probe = data.draw(st.integers(1, P), label="probe")
         N = data.draw(st.integers(1, n + 2), label="N")
-        for q in rng.standard_normal((3, d)):
+        Q = rng.standard_normal((3, d))
+        for q in Q:
             res, scanned = hybrid_search(pindex, q, N, probe)
             ref, ref_scanned = per_partition_search(pindex, q, N, probe)
             np.testing.assert_array_equal(res.ids, ref.ids)
             assert res.scores.tobytes() == ref.scores.tobytes()
             assert scanned == ref_scanned
+        if shared:
+            # every row of the store, in partition order, equals the flat
+            # index over the same codes and ids, and so does probing every
+            # partition
+            flat = build_index(make_set(np.zeros((n, 1)), ids=pindex.ids), codebooks[0],
+                               pindex.codes, spec, pindex.cov)
+            ids, scores = search_batch(pindex, Q, N)
+            flat_ids, flat_scores = search_batch(flat, Q, N)
+            np.testing.assert_array_equal(ids, flat_ids)
+            assert scores.tobytes() == flat_scores.tobytes()
+            for b, q in enumerate(Q):
+                res, scanned = hybrid_search(pindex, q, N, P)
+                np.testing.assert_array_equal(res.ids, ids[b])
+                assert res.scores.tobytes() == scores[b].tobytes()
+                assert scanned == n
+        elif P > 1:
+            with pytest.raises(ValueError, match="one codebook per partition"):
+                search_batch(pindex, Q, N)
 
 
 class TestHybridQueryPreconditions:

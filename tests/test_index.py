@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.index import (QueryLookupTable, QuipIndex, _rank_top_n, approximate_inner_product,
+from quips.index import (QueryLookupTable, _rank_top_n, approximate_inner_product,
                          build_index, build_lookup_table, code_dtype, encode_database,
                          exact_top_n, index_to_bytes, load_index,
                          predicted_file_size, save_index, search_batch, search_top_n,
@@ -472,13 +472,12 @@ class TestExactTopN:
 
 def _one_row_index(C):
     layout = make_chunk_layout(1, 1)
-    return QuipIndex(
-        codebook=Codebook(layout=layout, centroids=np.zeros((1, C, 1), dtype=np.float32)),
-        codes=CodeMatrix(codes=np.array([[C - 1]], dtype=code_dtype(C))),
-        preprocess=PreprocessSpec(kind="identity", seed=0, d_padded=1), layout=layout,
-        ids=np.array([7], dtype=np.int64),
-        cov=SubspaceCovariances(layout=layout, matrices=np.ones((1, 1, 1)),
-                                source="database"))
+    return build_index(
+        DenseVectorSet(data=np.zeros((1, 1)), ids=np.array([7], dtype=np.int64)),
+        Codebook(layout=layout, centroids=np.zeros((1, C, 1), dtype=np.float32)),
+        CodeMatrix(codes=np.array([[C - 1]], dtype=code_dtype(C))),
+        PreprocessSpec(kind="identity", seed=0, d_padded=1),
+        SubspaceCovariances(layout=layout, matrices=np.ones((1, 1, 1)), source="database"))
 
 
 class TestPersistence:

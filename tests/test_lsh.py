@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from quips.lsh import (AlshParams, augment_set, bucket_match_search,
                        hamming_search, l2_alsh_augment, l2_encode, l2_hash,
-                       load_codes, save_codes, signed_alsh_augment,
-                       simple_lsh_augment, srp_encode)
+                       signed_alsh_augment, simple_lsh_augment, srp_encode)
 
 
 class TestL2Augment:
@@ -206,37 +205,3 @@ class TestSrp:
         packed = np.packbits(bits, axis=1)
         back = np.unpackbits(packed, axis=1)[:, :20]
         np.testing.assert_array_equal(back, bits)
-
-
-class TestCodeFile:
-    def test_roundtrip(self, tmp_path):
-        data = np.random.default_rng(11).standard_normal((17, 6))
-        codes = srp_encode(data, b_bits=48, seed=5,
-                           ids=np.arange(100, 117, dtype=np.int64),
-                           scheme="simple_lsh")
-        path = str(tmp_path / "c.lshc")
-        save_codes(codes, path)
-        loaded = load_codes(path)
-        assert loaded.scheme == "simple_lsh"
-        assert loaded.b_bits == 48
-        np.testing.assert_array_equal(loaded.packed, codes.packed)
-        np.testing.assert_array_equal(loaded.ids, codes.ids)
-
-    def test_roundtrip_search_identical(self, tmp_path):
-        rng = np.random.default_rng(12)
-        data = rng.standard_normal((25, 5))
-        codes = srp_encode(data, b_bits=32, seed=6)
-        path = str(tmp_path / "c.lshc")
-        save_codes(codes, path)
-        loaded = load_codes(path)
-        qc = srp_encode(rng.standard_normal((1, 5)), b_bits=32, seed=6)
-        a = hamming_search(codes, qc, N=10)
-        b = hamming_search(loaded, qc, N=10)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        np.testing.assert_array_equal(a.scores, b.scores)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.lshc"
-        p.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_codes(str(p))
