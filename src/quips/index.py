@@ -167,10 +167,12 @@ def build_lookup_table(q: np.ndarray, codebook: Codebook) -> QueryLookupTable:
 
     One batched product over the K blocks; it has the same bits as a
     separate (l,) @ (l, C) product per block (tests/test_index.py holds that
-    loop as the oracle and names the shapes checked).
+    loop as the oracle and names the shapes checked).  The query is made
+    contiguous first: a strided row (one row of a column-permuted batch) takes
+    another matmul path and can round differently.
     """
     layout = codebook.layout
-    q = np.asarray(q, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
     if q.shape[-1] != layout.d_padded:
         raise ValueError(f"query has {q.shape[-1]} dims, layout wants {layout.d_padded}")
     cents = np.asarray(codebook.centroids, dtype=np.float64)

@@ -240,6 +240,19 @@ class TestBatchedLookupTable:
         assert got.shape == (K, C)
         assert got.tobytes() == lookup_table_oracle(q, cb).tobytes()
 
+    @pytest.mark.parametrize("K,C,d", [(3, 1, 10), (3, 4, 12), (8, 16, 64)])
+    def test_strided_query_row(self, K, C, d):
+        """A row of a column-permuted batch is strided; its table has the
+        bits of the same query held contiguously."""
+        spec, layout = make_preprocess("permutation", 3, make_chunk_layout(d, K))
+        rng = np.random.default_rng(d)
+        cb = Codebook(layout=layout,
+                      centroids=rng.standard_normal((K, C, layout.l)).astype(np.float32))
+        Qp = apply_preprocess_rows(rng.standard_normal((5, d)), spec)
+        for q in Qp:
+            got = build_lookup_table(q, cb).values
+            assert got.tobytes() == build_lookup_table(q.copy(), cb).values.tobytes()
+
 
 class TestApproximateInnerProduct:
     def test_zero_table(self):
