@@ -86,12 +86,6 @@ def augment_set(data: np.ndarray, scheme: str, side: str, params: AlshParams,
     return np.vstack([fns[scheme](row) for row in np.atleast_2d(data)])
 
 
-def l2_hash(v: np.ndarray, projection: np.ndarray, offset: float,
-            r_lsh: float) -> int:
-    """floor((P.v + b) / r); floor, not truncation, for negative projections."""
-    return int(np.floor((float(projection @ v) + offset) / r_lsh))
-
-
 def l2_encode(data: np.ndarray, n_hashes: int, r_lsh: float,
               seed: int) -> np.ndarray:
     """Integer bucket codes; projections N(0,1), offsets uniform on [0, r)."""

@@ -1,16 +1,18 @@
 """Codebook learning.
 
-Two families:
+Two trainers share one loop:
   * train_quip - per-subspace Lloyd iteration under the Mahalanobis metric given
     by a non-centered second-moment matrix (database- or query-estimated).
   * train_quip_opt - the same quadratic objective plus a hinge penalty on
-    top-1 order inversions mined from a sample of example queries; alternates
-    constraint mining, penalized assignment, and a centroid update that takes
-    the cell-mean stationary point plus one gradient step on the hinge term.
+    top-1 order inversions mined from a sample of example queries; each
+    iteration also mines constraints, adds the penalty to the assignment, and
+    follows the cell-mean stationary point with one gradient step on the hinge
+    term.  Without constraints it is train_quip.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,8 @@ class CodeMatrix:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; out-of-range values raise ValueError."""
+
     K: int = 8
     C: int = 256
     T: int = 30
@@ -51,6 +55,15 @@ class TrainConfig:
     lam: float = 0.01
     J: int = 1000
     convergence_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name, least in (("K", 1), ("C", 1), ("T", 1), ("J", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"need {name} >= {least}; got {getattr(self, name)}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"need a finite lam >= 0; got {self.lam}")
+        if not self.convergence_tol >= 0:
+            raise ValueError(f"need convergence_tol >= 0; got {self.convergence_tol}")
 
     def eta(self, t: int) -> float:
         """Gradient step size at iteration t."""
@@ -200,43 +213,6 @@ def _blocks_of(data: np.ndarray, layout: ChunkLayout) -> np.ndarray:
         padded.reshape(len(padded), layout.K, layout.l).transpose(1, 0, 2))
 
 
-def train_quip(database: DenseVectorSet, cov: SubspaceCovariances,
-               cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
-    """Lloyd alternation per subspace; the variant is set by cov.source."""
-    layout = cov.layout
-    n = database.n
-    if n < cfg.C:
-        raise ValueError(f"need n >= C; got n={n}, C={cfg.C}")
-    blocks = _blocks_of(database.data, layout)
-    cents = [_init_centroids(blocks[k], cfg.C, cfg.seed, k) for k in range(layout.K)]
-    codes = np.zeros((n, layout.K), dtype=np.int32)
-    trace: list[dict] = []
-    prev_obj = None
-    for t in range(cfg.T):
-        prev_codes = codes.copy()
-        for k in range(layout.K):
-            codes[:, k] = mahalanobis_assign(blocks[k], cents[k], cov.matrices[k])
-        obj = sum(subspace_objective(blocks[k], cents[k], codes[:, k], cov.matrices[k])
-                  for k in range(layout.K))
-        trace.append({"iteration": t, "phase": "assign", "objective": obj})
-        for k in range(layout.K):
-            new, empty = update_centroids(blocks[k], codes[:, k], cfg.C)
-            cents[k] = _reseed_empty(new, empty, blocks[k], codes[:, k], cov.matrices[k])
-        obj = sum(subspace_objective(blocks[k], cents[k], codes[:, k], cov.matrices[k])
-                  for k in range(layout.K))
-        trace.append({"iteration": t, "phase": "update", "objective": obj})
-        if t > 0 and np.array_equal(codes, prev_codes):
-            break
-        if prev_obj is not None and prev_obj > 0:
-            if (prev_obj - obj) / prev_obj < cfg.convergence_tol:
-                break
-        if obj == 0.0:
-            break
-        prev_obj = obj
-    codebook = Codebook(layout=layout, centroids=np.stack(cents))
-    return codebook, CodeMatrix(codes=codes), trace
-
-
 # ---------------------------------------------------------------------------
 # constrained variant
 
@@ -252,12 +228,16 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
     quantized score.  Quantized scores come from the index's scorer.  Queries
     go in blocks of _MINE_QUERIES: one GEMM gives a block's exact scores and
     one stacked table scan its quantized scores, so no (|Q|, n) array is
-    built; blocks stop once J inversions are found.
+    built; blocks stop once J inversions are found.  Both sets' rows must be
+    layout.d_padded wide, as preprocessing leaves them.
     """
     from .index import stack_lookup_tables, table_scores
 
-    db = pad_to(database.data, layout.d_padded)
-    qd = pad_to(queries.data, layout.d_padded)
+    for name, vs in (("database", database), ("queries", queries)):
+        if vs.d != layout.d_padded:
+            raise ValueError(f"{name} rows are {vs.d} wide; mining needs "
+                             f"layout.d_padded = {layout.d_padded}")
+    db, qd = database.data, queries.data
     order = np.random.default_rng([seed, 104729]).permutation(queries.n)
     out: list[ConstraintTriplet] = []
     for lo, hi in _row_tiles(len(order), _MINE_QUERIES):
@@ -299,7 +279,7 @@ def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndar
     the queries would round differently.
     """
     if not triplets or lam == 0.0:
-        return _assign_codes(blocks, centroids, sigma)
+        return mahalanobis_assign(blocks, centroids, sigma)
     rows, slot = np.unique(_triplet_rows(triplets), return_inverse=True)
     qtu = np.stack([query_block[j] @ centroids.T for j in range(len(triplets))])
     penalty = np.zeros((len(rows), centroids.shape[0]))
@@ -333,11 +313,12 @@ def centroid_gradient(c: int, centroids: np.ndarray, codes: np.ndarray,
     return grad + _hinge_gradient(centroids, codes, triplets, lam, query_block)[c]
 
 
-def penalized_objective(cents: list[np.ndarray], codes: np.ndarray,
-                        db_blocks: list[np.ndarray], cov: SubspaceCovariances,
+def penalized_objective(cents: np.ndarray, codes: np.ndarray,
+                        db_blocks: np.ndarray, cov: SubspaceCovariances,
                         triplets: list[ConstraintTriplet],
-                        q_blocks: list[np.ndarray], lam: float) -> float:
-    """Quadratic quantization error plus the hinge penalty over mined triplets."""
+                        q_blocks: np.ndarray, lam: float) -> float:
+    """Quadratic quantization error plus the hinge penalty over mined triplets;
+    cents, db_blocks and q_blocks are indexed by subspace first."""
     K = len(cents)
     obj = sum(subspace_objective(db_blocks[k], cents[k], codes[:, k], cov.matrices[k])
               for k in range(K))
@@ -350,77 +331,91 @@ def penalized_objective(cents: list[np.ndarray], codes: np.ndarray,
     return obj
 
 
+# ---------------------------------------------------------------------------
+# training
+
+
+def train_quip(database: DenseVectorSet, cov: SubspaceCovariances,
+               cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
+    """Lloyd alternation per subspace; the variant is set by cov.source."""
+    return _train(database, None, cov, cfg)
+
+
 def train_quip_opt(database: DenseVectorSet, example_queries: DenseVectorSet,
                    cov: SubspaceCovariances,
                    cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
-    """Three-step loop: mine inversions, penalized assign, mean + hinge step.
+    """train_quip plus, each iteration, mined inversions and the hinge term.
 
-    With lam=0 or no mined constraints the numbers reduce exactly to
-    train_quip's trajectory. If the combined centroid update raises the
-    penalized objective, the hinge step is halved once and the result kept.
+    Takes preprocessed rows, layout.d_padded wide, as mining requires.  With
+    lam=0 or no mined constraints the numbers are train_quip's bit for bit.
+    """
+    return _train(database, example_queries, cov, cfg)
+
+
+def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
+           cov: SubspaceCovariances,
+           cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
+    """One loop for both trainers; queries=None mines nothing.
+
+    Each iteration mines (queries only), assigns, takes cell means with empty
+    cells reseeded and, given triplets and lam != 0, steps down the hinge
+    subgradient, halving the step once if the objective rose.  It stops on
+    unchanged codes with no triplets, a relative decrease below
+    cfg.convergence_tol, or a zero objective.
     """
     layout = cov.layout
-    n = database.n
+    n, K, sigma = database.n, layout.K, cov.matrices
     if n < cfg.C:
         raise ValueError(f"need n >= C; got n={n}, C={cfg.C}")
-    db_blocks = _blocks_of(database.data, layout)
-    q_blocks_all = _blocks_of(example_queries.data, layout)
-    cents = [_init_centroids(db_blocks[k], cfg.C, cfg.seed, k) for k in range(layout.K)]
-    codes = np.zeros((n, layout.K), dtype=np.int32)
-    # seed the code state so the first round of mining sees real assignments
-    for k in range(layout.K):
-        codes[:, k] = mahalanobis_assign(db_blocks[k], cents[k], cov.matrices[k])
+    blocks = _blocks_of(database.data, layout)
+    cents = np.stack([_init_centroids(blocks[k], cfg.C, cfg.seed, k) for k in range(K)])
+    codes = np.zeros((n, K), dtype=np.int32)
+    triplets: list[ConstraintTriplet] = []
+    q_all = mined = blocks[:, :0]
+    if queries is not None:
+        q_all = _blocks_of(queries.data, layout)
+        # seed the code state so the first round of mining sees real assignments
+        for k in range(K):
+            codes[:, k] = mahalanobis_assign(blocks[k], cents[k], sigma[k])
     trace: list[dict] = []
-    prev_obj = None
+    prev_obj = 0.0
     for t in range(cfg.T):
         prev_codes = codes.copy()
-        codebook = Codebook(layout=layout, centroids=np.stack(cents))
-        triplets = find_violated_constraints(
-            codebook, CodeMatrix(codes=codes), database, example_queries,
-            layout, cfg.J, cfg.seed)
-        # mined query components, aligned with the triplet list
-        qids = np.array([tr.query_id for tr in triplets], dtype=np.intp)
-        q_blocks = [q_blocks_all[k][qids] for k in range(layout.K)]
-        for k in range(layout.K):
-            codes[:, k] = constrained_assign(db_blocks[k], cents[k], cov.matrices[k],
-                                             triplets, cfg.lam, q_blocks[k])
-        before = penalized_objective(cents, codes, db_blocks, cov, triplets,
-                                     q_blocks_all, cfg.lam)
-        new_cents = _opt_update(cents, codes, db_blocks, cov, triplets, q_blocks,
-                                cfg, cfg.eta(t))
-        after = penalized_objective(new_cents, codes, db_blocks, cov, triplets,
-                                    q_blocks_all, cfg.lam)
-        if after > before:
-            new_cents = _opt_update(cents, codes, db_blocks, cov, triplets, q_blocks,
-                                    cfg, cfg.eta(t) / 2.0)
-            after = penalized_objective(new_cents, codes, db_blocks, cov, triplets,
-                                        q_blocks_all, cfg.lam)
-        cents = new_cents
-        trace.append({"iteration": t, "objective": after,
+        if queries is not None:
+            triplets = find_violated_constraints(
+                Codebook(layout=layout, centroids=cents), CodeMatrix(codes=codes),
+                database, queries, layout, cfg.J, cfg.seed)
+            # mined query components, aligned with the triplet list
+            qids = np.array([tr.query_id for tr in triplets], dtype=np.intp)
+            mined = np.take(q_all, qids, axis=1)
+        for k in range(K):
+            codes[:, k] = constrained_assign(blocks[k], cents[k], sigma[k],
+                                             triplets, cfg.lam, mined[k])
+        before = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+        trace.append({"iteration": t, "phase": "assign", "objective": before,
                       "n_constraints": len(triplets)})
-        if t > 0 and np.array_equal(codes, prev_codes) and not triplets:
+        means = np.empty_like(cents)
+        for k in range(K):
+            new, empty = update_centroids(blocks[k], codes[:, k], cfg.C)
+            means[k] = _reseed_empty(new, empty, blocks[k], codes[:, k], sigma[k])
+        # without the hinge term the update does not depend on the step
+        hinge = bool(triplets) and cfg.lam != 0.0
+        cents = means
+        if hinge:
+            grad = np.stack([_hinge_gradient(means[k], codes[:, k], triplets, cfg.lam,
+                                             mined[k]) for k in range(K)])
+            cents = means - cfg.eta(t) * grad
+        obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+        if hinge and obj > before:
+            cents = means - cfg.eta(t) / 2.0 * grad
+            obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+        trace.append({"iteration": t, "phase": "update", "objective": obj,
+                      "n_constraints": 0})
+        if t > 0 and not triplets and np.array_equal(codes, prev_codes):
             break
-        if prev_obj is not None and prev_obj > 0:
-            if (prev_obj - after) / prev_obj < cfg.convergence_tol:
-                break
-        if after == 0.0:
+        if prev_obj > 0 and (prev_obj - obj) / prev_obj < cfg.convergence_tol:
             break
-        prev_obj = after
-    codebook = Codebook(layout=layout, centroids=np.stack(cents))
-    return codebook, CodeMatrix(codes=codes), trace
-
-
-def _opt_update(cents: list[np.ndarray], codes: np.ndarray,
-                db_blocks: list[np.ndarray], cov: SubspaceCovariances,
-                triplets: list[ConstraintTriplet], q_blocks: list[np.ndarray],
-                cfg: TrainConfig, eta: float) -> list[np.ndarray]:
-    """Cell means (empty cells reseeded) minus eta * hinge subgradient."""
-    out = []
-    for k in range(len(cents)):
-        new, empty = update_centroids(db_blocks[k], codes[:, k], cfg.C)
-        new = _reseed_empty(new, empty, db_blocks[k], codes[:, k], cov.matrices[k])
-        if triplets and cfg.lam != 0.0:
-            new = new - eta * _hinge_gradient(new, codes[:, k], triplets, cfg.lam,
-                                              q_blocks[k])
-        out.append(new)
-    return out
+        if obj == 0.0:
+            break
+        prev_obj = obj
+    return Codebook(layout=layout, centroids=cents), CodeMatrix(codes=codes), trace

@@ -86,6 +86,19 @@ class TestTrain:
         assert main(["train", "--method", "magic", "--data", db,
                      "--out", str(tmp_path / "x.quip")]) == 1
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--iters", "0", "T"), ("--lambda", "-1", "lam"), ("--j", "-3", "J"),
+        ("--c", "0", "C")])
+    def test_out_of_range_config_is_usage_error(self, tmp_path, vec_files, capsys,
+                                                flag, value, field):
+        db, qs = vec_files
+        out = tmp_path / "x.quip"
+        assert main(["train", "--method", "quip-opt", "--data", db, "--queries", qs,
+                     "--k", "4", "--c", "8", flag, value, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: need") and f"{field} >= " in err
+
 
 class TestEncodeSearch:
     def test_search_output(self, tmp_path, vec_files):

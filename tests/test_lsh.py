@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quips.lsh import (AlshParams, augment_set, bucket_match_search,
-                       hamming_search, l2_alsh_augment, l2_encode, l2_hash,
+                       hamming_search, l2_alsh_augment, l2_encode,
                        signed_alsh_augment, simple_lsh_augment, srp_encode)
+
+
+def l2_hash(v: np.ndarray, projection: np.ndarray, offset: float,
+            r_lsh: float) -> int:
+    """floor((P.v + b) / r); floor, not truncation, for negative projections."""
+    return int(np.floor((float(projection @ v) + offset) / r_lsh))
 
 
 class TestL2Augment:

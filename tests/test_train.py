@@ -254,6 +254,21 @@ class TestConstraintMining:
             capped = find_violated_constraints(cb, codes, vs, queries, layout, 1, 0)
             assert len(capped) == 1
 
+    def test_rows_must_be_padded(self):
+        # d=6, K=4: blocks of l=2, so mining needs rows 8 wide
+        rng = np.random.default_rng(7)
+        layout = make_chunk_layout(6, 4)
+        cb = Codebook(layout=layout, centroids=rng.standard_normal((4, 3, 2)))
+        codes = CodeMatrix(codes=np.zeros((10, 4), dtype=np.int32))
+        raw, padded = rng.standard_normal((10, 6)), np.zeros((10, 8))
+        padded[:, :6] = raw
+        for db, qs in ((raw, padded[:3]), (padded, raw[:3])):
+            with pytest.raises(ValueError, match=r"6 wide.*d_padded = 8"):
+                find_violated_constraints(cb, codes, make_set(db), make_set(qs),
+                                          layout, 10, 0)
+        assert isinstance(find_violated_constraints(
+            cb, codes, make_set(padded), make_set(padded[:3]), layout, 10, 0), list)
+
 
 class TestConstrainedAssign:
     def setup_method(self):
@@ -436,6 +451,75 @@ class TestTrainQuipOpt:
         for t in trace:
             assert np.isfinite(t["objective"])
             assert t["n_constraints"] >= 0
+
+
+    def _instance(self, seed):
+        rng = np.random.default_rng(seed)
+        vs = make_set(rng.standard_normal((60, 4)))
+        queries = make_set(rng.standard_normal((12, 4)))
+        cov = regularize(estimate_subspace_covariances(
+            queries, make_chunk_layout(4, 2), source="example_queries"), 1e-6)
+        return vs, queries, cov
+
+    def test_no_mining_equals_train_quip_bit_for_bit(self):
+        vs, queries, cov = self._instance(13)
+        cfg = TrainConfig(K=2, C=4, T=10, seed=2, J=0)
+        cb_a, codes_a, trace_a = train_quip(vs, cov, cfg)
+        cb_b, codes_b, trace_b = train_quip_opt(vs, queries, cov, cfg)
+        assert np.array_equal(cb_a.centroids, cb_b.centroids)
+        assert np.array_equal(codes_a.codes, codes_b.codes)
+        assert trace_a == trace_b
+
+    def test_lambda_zero_equals_train_quip_bit_for_bit(self):
+        vs, queries, cov = self._instance(14)
+        cfg = TrainConfig(K=2, C=4, T=10, seed=3, lam=0.0)
+        cb_a, codes_a, _ = train_quip(vs, cov, cfg)
+        cb_b, codes_b, trace = train_quip_opt(vs, queries, cov, cfg)
+        assert any(e["n_constraints"] for e in trace), "instance mines nothing"
+        assert np.array_equal(cb_a.centroids, cb_b.centroids)
+        assert np.array_equal(codes_a.codes, codes_b.codes)
+
+    def test_one_trace_format(self):
+        vs, queries, cov = self._instance(15)
+        cfg = TrainConfig(K=2, C=4, T=6, seed=1)
+        plain = train_quip(vs, cov, cfg)[2]
+        opt = train_quip_opt(vs, queries, cov, cfg)[2]
+        assert any(e["n_constraints"] for e in opt), "instance mines nothing"
+        for trace in (plain, opt):
+            assert [e["phase"] for e in trace] == ["assign", "update"] * (len(trace) // 2)
+            for t, (a, u) in enumerate(zip(trace[::2], trace[1::2])):
+                assert set(a) == set(u) == {"iteration", "phase", "objective",
+                                            "n_constraints"}
+                assert a["iteration"] == u["iteration"] == t
+                assert a["n_constraints"] >= 0 and u["n_constraints"] == 0
+
+    def test_assignment_passes(self, monkeypatch):
+        # K passes per iteration; example queries add K seed passes before
+        # the first round of mining
+        vs, queries, cov = self._instance(16)
+        calls = []
+        real = train_module.mahalanobis_assign
+        monkeypatch.setattr(train_module, "mahalanobis_assign",
+                            lambda *a: calls.append(1) or real(*a))
+        cfg = TrainConfig(K=2, C=4, T=6, seed=1, J=0)
+        trace = train_quip(vs, cov, cfg)[2]
+        assert len(calls) == 2 * len(trace) // 2
+        calls.clear()
+        trace = train_quip_opt(vs, queries, cov, cfg)[2]
+        assert len(calls) == 2 * (len(trace) // 2 + 1)
+
+
+class TestTrainConfig:
+    def test_edges_accepted(self):
+        TrainConfig(K=1, C=1, T=1, J=0, lam=0.0, convergence_tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", 0), ("C", 0), ("T", 0), ("T", -1), ("J", -3), ("lam", -5.0),
+        ("lam", float("nan")), ("lam", float("inf")), ("convergence_tol", -1e-9),
+        ("convergence_tol", float("nan"))])
+    def test_out_of_range_is_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestUnbiasedness:
