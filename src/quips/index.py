@@ -15,7 +15,7 @@ import numpy as np
 
 from .covariance import SubspaceCovariances
 from .train import (Codebook, CodeMatrix, mahalanobis_assign, _assign_tile_rows,
-                    _blocks_of, _row_tiles)
+                    _blocks_of, _per_subspace, _row_tiles)
 from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
                        apply_preprocess_rows, pad_to)
 
@@ -148,6 +148,7 @@ def encode_database(database: DenseVectorSet, codebook: Codebook,
     joins the last chunk, as in the tiles), each split into its own blocks, so
     no second copy of the database is held and every tile's GEMM covers the
     rows it would cover over the whole database: the codes are the same bits.
+    A chunk's K subspaces are assigned on every usable core.
     """
     if layout.d_padded != codebook.layout.d_padded:
         raise ValueError("layout does not match codebook")
@@ -157,8 +158,8 @@ def encode_database(database: DenseVectorSet, codebook: Codebook,
     codes = np.empty((database.n, layout.K), dtype=np.int32)
     for lo, hi in _row_tiles(database.n, chunk):
         blocks = _blocks_of(database.data[lo:hi], layout)
-        for k in range(layout.K):
-            codes[lo:hi, k] = mahalanobis_assign(blocks[k], cents[k], cov.matrices[k])
+        codes[lo:hi] = np.stack(_per_subspace(lambda k: mahalanobis_assign(
+            blocks[k], cents[k], cov.matrices[k]), layout.K), axis=1)
     return CodeMatrix(codes=codes)
 
 

@@ -13,6 +13,8 @@ Two trainers share one loop:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +85,79 @@ class ConstraintTriplet:
 
 
 # Assignment walks the database in row tiles of about this many (row, centroid)
-# costs (512 rows at C=256), so a tile's costs stay in L2 and no (n, C) array
-# is ever built.
-_TILE_COSTS = 1 << 17
+# costs (128 rows at C=256), so a tile's costs stay in L2 and no (n, C) array
+# is ever built.  At l <= 8 a tile's GEMM is at most 65,536 x 4 multiply-adds,
+# which OpenBLAS runs on its calling thread, so the subspaces that
+# _per_subspace runs on several threads do not contend for BLAS's own threads.
+_TILE_COSTS = 1 << 15
 # Constraint mining scores this many queries per GEMM and per stacked scan.
 _MINE_QUERIES = 64
+
+
+# (executor or None, worker count), made on the first parallel call
+_POOL: tuple | None = None
+_POOL_LOCK = threading.Lock()
+_IN_WORKER = threading.local()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _IN_WORKER.active = True
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads; it makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _per_subspace(fn, K: int) -> list:
+    """[fn(0), ..., fn(K-1)], computed on every usable core.
+
+    The calling thread runs k = 0, W+1, 2(W+1), ...; a pool of W = cores - 1
+    workers, made on first use, runs the other k.  Each fn(k) must read and
+    write only subspace k's data, so the results are the serial loop's bit
+    for bit.  With one core, or when called from a pool worker (so nesting
+    cannot deadlock), it is that loop.  An error ends its thread's share of
+    the k; once every thread is done, the caller's error, else the first
+    worker's, is raised with its own type.
+    """
+    global _POOL
+    executor, workers = None, 0
+    if not getattr(_IN_WORKER, "active", False):
+        with _POOL_LOCK:
+            if _POOL is None:
+                cores = _usable_cores()
+                if cores > 1:
+                    from concurrent.futures import ThreadPoolExecutor
+                    executor = ThreadPoolExecutor(cores - 1, thread_name_prefix="quips",
+                                                  initializer=_mark_worker)
+                _POOL = (executor, cores - 1)
+            executor, workers = _POOL
+    stride = min(workers, K - 1) + 1
+    if stride == 1:
+        return [fn(k) for k in range(K)]
+    from concurrent.futures import wait
+    futures = [executor.submit(lambda i: [fn(k) for k in range(i, K, stride)], i)
+               for i in range(1, stride)]
+    out: list = [None] * K
+    try:
+        out[::stride] = [fn(k) for k in range(0, K, stride)]
+    finally:
+        wait(futures)
+    for i, future in enumerate(futures, 1):
+        out[i::stride] = future.result()
+    return out
 
 
 def _assign_tile_rows(C: int) -> int:
@@ -120,8 +190,9 @@ def _assign_codes(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndarray,
     Sigma U_c and U_c^T Sigma U_c are computed once, so a row costs O(C*l).
     Each tile is one GEMM against -2 Sigma U (scaling by a power of two is
     exact, so the costs equal quad - 2 x Sigma U bit for bit) plus quad, in
-    one reused buffer.  penalty[i] is added to the costs of row rows[i]
-    (rows ascending and unique).
+    one reused buffer; quad is added from a tile-shaped copy, about twice as
+    fast as broadcasting it.  penalty[i] is added to the costs of row
+    rows[i] (rows ascending and unique).
     """
     if blocks.shape[1] != centroids.shape[1]:
         raise ValueError("block width does not match centroid width")
@@ -132,9 +203,10 @@ def _assign_codes(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndarray,
     size = _assign_tile_rows(C)
     codes = np.empty(n, dtype=np.int32)
     buf = np.empty((min(n, size + 1), C))
+    quad_rows = np.broadcast_to(quad, buf.shape).copy()
     for lo, hi in _row_tiles(n, size):
         costs = np.matmul(blocks[lo:hi], weights, out=buf[:hi - lo])
-        costs += quad
+        costs += quad_rows[:hi - lo]
         if rows is not None:
             a, b = np.searchsorted(rows, (lo, hi))
             costs[rows[a:b] - lo] += penalty[a:b]
@@ -219,8 +291,9 @@ def _blocks_of(data: np.ndarray, layout: ChunkLayout) -> np.ndarray:
 
 def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
                               database: DenseVectorSet, queries: DenseVectorSet,
-                              layout: ChunkLayout, J: int,
-                              seed: int) -> list[ConstraintTriplet]:
+                              layout: ChunkLayout, J: int, seed: int,
+                              top1: dict[int, np.ndarray] | None = None
+                              ) -> list[ConstraintTriplet]:
     """Mine up to J top-1 order inversions, one per query, in seeded query order.
 
     For each query, pos is the exact argmax over the database; neg is the
@@ -229,7 +302,9 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
     go in blocks of _MINE_QUERIES: one GEMM gives a block's exact scores and
     one stacked table scan its quantized scores, so no (|Q|, n) array is
     built; blocks stop once J inversions are found.  Both sets' rows must be
-    layout.d_padded wide, as preprocessing leaves them.
+    layout.d_padded wide, as preprocessing leaves them.  top1 memoizes each
+    block's exact argmax by block start; a training run passes one dict to
+    every round, since its database, queries and seed do not change.
     """
     from .index import stack_lookup_tables, table_scores
 
@@ -238,13 +313,16 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
             raise ValueError(f"{name} rows are {vs.d} wide; mining needs "
                              f"layout.d_padded = {layout.d_padded}")
     db, qd = database.data, queries.data
+    top1 = {} if top1 is None else top1
     order = np.random.default_rng([seed, 104729]).permutation(queries.n)
     out: list[ConstraintTriplet] = []
     for lo, hi in _row_tiles(len(order), _MINE_QUERIES):
         if len(out) >= J:
             break
         block = qd[order[lo:hi]]
-        best = np.argmax(block @ db.T, axis=1)
+        if lo not in top1:
+            top1[lo] = np.argmax(block @ db.T, axis=1)
+        best = top1[lo]
         scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
         for j, pos, qs in zip(order[lo:hi], best, scores):
             viol = np.flatnonzero(qs > qs[pos])
@@ -320,8 +398,8 @@ def penalized_objective(cents: np.ndarray, codes: np.ndarray,
     """Quadratic quantization error plus the hinge penalty over mined triplets;
     cents, db_blocks and q_blocks are indexed by subspace first."""
     K = len(cents)
-    obj = sum(subspace_objective(db_blocks[k], cents[k], codes[:, k], cov.matrices[k])
-              for k in range(K))
+    obj = sum(_per_subspace(lambda k: subspace_objective(
+        db_blocks[k], cents[k], codes[:, k], cov.matrices[k]), K))
     for trip in triplets:
         margin = 0.0
         for k in range(K):
@@ -372,11 +450,12 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
     codes = np.zeros((n, K), dtype=np.int32)
     triplets: list[ConstraintTriplet] = []
     q_all = mined = blocks[:, :0]
+    top1: dict[int, np.ndarray] = {}
     if queries is not None:
         q_all = _blocks_of(queries.data, layout)
         # seed the code state so the first round of mining sees real assignments
-        for k in range(K):
-            codes[:, k] = mahalanobis_assign(blocks[k], cents[k], sigma[k])
+        codes[:] = np.stack(_per_subspace(
+            lambda k: mahalanobis_assign(blocks[k], cents[k], sigma[k]), K), axis=1)
     trace: list[dict] = []
     prev_obj = 0.0
     for t in range(cfg.T):
@@ -384,20 +463,19 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
         if queries is not None:
             triplets = find_violated_constraints(
                 Codebook(layout=layout, centroids=cents), CodeMatrix(codes=codes),
-                database, queries, layout, cfg.J, cfg.seed)
+                database, queries, layout, cfg.J, cfg.seed, top1)
             # mined query components, aligned with the triplet list
             qids = np.array([tr.query_id for tr in triplets], dtype=np.intp)
             mined = np.take(q_all, qids, axis=1)
-        for k in range(K):
-            codes[:, k] = constrained_assign(blocks[k], cents[k], sigma[k],
-                                             triplets, cfg.lam, mined[k])
+        codes[:] = np.stack(_per_subspace(lambda k: constrained_assign(
+            blocks[k], cents[k], sigma[k], triplets, cfg.lam, mined[k]), K), axis=1)
         before = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
         trace.append({"iteration": t, "phase": "assign", "objective": before,
                       "n_constraints": len(triplets)})
         means = np.empty_like(cents)
-        for k in range(K):
-            new, empty = update_centroids(blocks[k], codes[:, k], cfg.C)
-            means[k] = _reseed_empty(new, empty, blocks[k], codes[:, k], sigma[k])
+        means[:] = np.stack(_per_subspace(lambda k: _reseed_empty(
+            *update_centroids(blocks[k], codes[:, k], cfg.C), blocks[k], codes[:, k],
+            sigma[k]), K))
         # without the hinge term the update does not depend on the step
         hinge = bool(triplets) and cfg.lam != 0.0
         cents = means

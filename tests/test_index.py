@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -159,6 +161,14 @@ class TestStreamedEncode:
     def test_preprocess_kinds_and_padding(self, kind, dtype):
         for n in (513, 8193):  # one past a tile, one past a chunk (C=256, 64 wide)
             assert_encodes_as_whole_matrix(*encode_instance(n, 60, 8, 256, kind, dtype))
+
+    @pytest.mark.parametrize("C", [16, 256, 300])
+    def test_pool_equals_serial(self, pooled_and_serial, C):
+        for n in encode_sizes(C, 64):
+            vs, cb, cov, layout = encode_instance(n, 64, 8, C)
+            pooled, serial = pooled_and_serial(
+                lambda: encode_database(vs, cb, cov, layout).codes)
+            assert pooled.tobytes() == serial.tobytes(), n
 
     def test_holds_no_copy_of_the_database(self):
         vs, cb, cov, layout = encode_instance(100_000, 64, 8, 256)
@@ -547,6 +557,25 @@ class TestPersistence:
         import os
         assert os.path.getsize(path) == predicted_file_size(
             n=40, K=4, l=index.layout.l, C=16)
+
+    def test_load_and_search_start_no_thread(self, tmp_path):
+        # set-up may start a worker pool; serving must not
+        _, index = random_index(300, 8, 2, 16, 0)
+        path = str(tmp_path / "i.quip")
+        save_index(index, path)
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from quips.index import load_index, search_batch\n"
+            "before = threading.active_count()\n"
+            "index = load_index(sys.argv[1])\n"
+            "search_batch(index, np.ones((3, 8)), 5)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count() - before)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quips.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, path], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "0"]
 
     def test_save_load_save_identical(self, tmp_path):
         _, index = random_index(20, 4, 2, 4, seed=15)

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -639,7 +645,7 @@ class TestRowTiles:
 
 
     def test_default_tiles_assign_matches_whole_matrix(self):
-        rng = np.random.default_rng(1)  # 3 tiles of 512 rows, then one row folded in
+        rng = np.random.default_rng(1)  # 12 tiles of 128 rows, then one row folded in
         blocks, cents = rng.standard_normal((1537, 8)), rng.standard_normal((256, 8))
         sigma = np.cov(blocks.T)
         assert_bits_equal(mahalanobis_assign(blocks, cents, sigma),
@@ -749,3 +755,135 @@ class TestTiledKernels:
         for J in sorted({0, 1, TILE - 1, TILE, len(every) - 1, len(every), 10 ** 6}):
             assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3)
                     == per_query_mining(cb, codes, vs, queries, layout, J, 3))
+
+    @pytest.mark.parametrize("nq", EDGE_SIZES)
+    def test_memoized_top1_matches_per_query_loop(self, nq):
+        # one dict across rounds whose codebooks differ, as in training: the
+        # exact top-1 is computed once per block and the triplets stay exact
+        rng = np.random.default_rng(nq)
+        data = rng.standard_normal((40, 6))
+        vs = make_set(data)
+        layout = make_chunk_layout(6, 2)
+        blocks = _blocks_of(data, layout)
+        queries = make_set(rng.standard_normal((nq, 6)))
+        top1, seen = {}, {}
+        for r, J in enumerate((1, 10 ** 6, 2, 10 ** 6)):
+            cents = np.stack([b[r:r + 3] for b in blocks])
+            cb = Codebook(layout=layout, centroids=cents)
+            codes = CodeMatrix(codes=np.stack(
+                [mahalanobis_assign(blocks[k], cents[k], np.eye(3)) for k in range(2)],
+                axis=1))
+            assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3, top1)
+                    == per_query_mining(cb, codes, vs, queries, layout, J, 3))
+            assert all(top1[lo] is best for lo, best in seen.items())
+            seen = dict(top1)
+        assert sorted(top1) == [lo for lo, _ in train_module._row_tiles(nq, TILE)]
+
+
+def _per_subspace_or_exit():
+    """Child process body: exit 0 once _per_subspace returns its results."""
+    sys.exit(0 if train_module._per_subspace(lambda k: k * k, 4) == [0, 1, 4, 9] else 1)
+
+
+class TestPerSubspace:
+    def test_caller_runs_every_third_k_on_a_pool_of_two(self, pooled_and_serial):
+        where = {}
+
+        def record():
+            where.clear()
+            train_module._per_subspace(
+                lambda k: where.setdefault(k, threading.current_thread()), 8)
+            return dict(where)
+
+        pooled, serial = pooled_and_serial(record)
+        me = threading.current_thread()
+        assert [k for k in range(8) if pooled[k] is me] == [0, 3, 6]
+        assert len({pooled[k] for k in (1, 2, 4, 5, 7)} - {me}) >= 1
+        assert all(t is me for t in serial.values())
+
+    def test_nested_call_runs_inline(self, pooled_and_serial):
+        def outer(k):
+            here = threading.current_thread()
+            inner = train_module._per_subspace(lambda j: threading.current_thread(), 4)
+            return all(t is here for t in inner)
+
+        pooled, serial = pooled_and_serial(lambda: train_module._per_subspace(outer, 6))
+        # k = 0 and 3 run on the calling thread, whose inner calls use the pool
+        assert [pooled[k] for k in (1, 2, 4, 5)] == [True] * 4
+        assert serial == [True] * 6
+
+    # the caller runs 0, 3, 6; one worker 1, 4, 7 and the other 2, 5; an
+    # error ends its thread's share
+    @pytest.mark.parametrize("bad,ran", [(1, {0, 2, 3, 5, 6}), (0, {1, 2, 4, 5, 7})])
+    def test_error_reaches_caller_once_every_thread_is_done(self, pooled_and_serial,
+                                                            bad, ran):
+        done = set()
+
+        def fn(k):
+            if k == bad:
+                raise ValueError(f"subspace {k}")
+            time.sleep(0.01)
+            done.add(k)
+
+        def run():
+            done.clear()
+            with pytest.raises(ValueError, match=f"subspace {bad}"):
+                train_module._per_subspace(fn, 8)
+            return set(done)
+
+        pooled, serial = pooled_and_serial(run)
+        assert pooled == ran
+        assert serial == set(range(bad))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_makes_its_own_pool(self, pooled_and_serial):
+        def fork_child():
+            # start every worker thread, then let them idle, as between calls
+            train_module._per_subspace(lambda k: time.sleep(0.05), 4)
+            time.sleep(0.1)
+            child = multiprocessing.get_context("fork").Process(target=_per_subspace_or_exit)
+            child.start()
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            return child.exitcode
+
+        assert pooled_and_serial(fork_child) == (0, 0)
+
+    def test_one_core_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(train_module, "_POOL", None)
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
+        me = threading.current_thread()
+        assert train_module._per_subspace(lambda k: threading.current_thread(), 5) == [me] * 5
+        assert train_module._POOL == (None, 0)
+
+
+class TestParallelTraining:
+    """Training through the pool equals the serial loop bit for bit."""
+
+    def _instance(self):
+        rng = np.random.default_rng(21)
+        vs = make_set(rng.standard_normal((300, 16)) * 2)
+        queries = make_set(rng.standard_normal((40, 16)))
+        cov = regularize(estimate_subspace_covariances(
+            vs, make_chunk_layout(16, 4)), 1e-6)
+        return vs, queries, cov
+
+    @staticmethod
+    def assert_same_run(a, b):
+        assert_bits_equal(a[0].centroids, b[0].centroids)
+        assert_bits_equal(a[1].codes, b[1].codes)
+        assert a[2] == b[2]
+
+    def test_train_quip(self, pooled_and_serial):
+        vs, _, cov = self._instance()
+        cfg = TrainConfig(K=4, C=8, T=6, seed=1)
+        self.assert_same_run(*pooled_and_serial(lambda: train_quip(vs, cov, cfg)))
+
+    def test_train_quip_opt(self, pooled_and_serial):
+        vs, queries, cov = self._instance()
+        cfg = TrainConfig(K=4, C=8, T=5, seed=1, J=15, lam=0.5)
+        pooled, serial = pooled_and_serial(lambda: train_quip_opt(vs, queries, cov, cfg))
+        assert any(e["n_constraints"] for e in pooled[2]), "instance mines nothing"
+        self.assert_same_run(pooled, serial)
