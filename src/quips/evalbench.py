@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -102,7 +100,6 @@ class TheoryCheckReport:
     subspace_losses: np.ndarray
     q_max: float
     delta: float
-    ball_radius: float
 
     def to_dict(self) -> dict:
         return {
@@ -111,30 +108,16 @@ class TheoryCheckReport:
             "variance_bound": self.variance_bound,
             "subspace_losses": [float(x) for x in self.subspace_losses],
             "q_max": self.q_max, "delta": self.delta,
-            "ball_radius": self.ball_radius,
         }
 
 
-def ground_truth(database: DenseVectorSet, queries: DenseVectorSet, topN: int,
-                 cache_dir: str | None = None) -> np.ndarray:
-    """Exact top-N ids per query, optionally cached keyed by content hash."""
+def ground_truth(database: DenseVectorSet, queries: DenseVectorSet, topN: int) -> np.ndarray:
+    """Exact top-N ids per query."""
     if database.n == 0 or queries.n == 0:
         raise ValueError("empty input")
-    key = None
-    if cache_dir is not None:
-        h = hashlib.sha256()
-        h.update(database.data.tobytes())
-        h.update(queries.data.tobytes())
-        h.update(str(topN).encode())
-        key = os.path.join(cache_dir, f"gt_{h.hexdigest()[:24]}.npy")
-        if os.path.exists(key):
-            return np.load(key)
     out = np.empty((queries.n, min(topN, database.n)), dtype=np.int64)
     for j in range(queries.n):
         out[j] = exact_top_n(database, queries.data[j], topN).ids
-    if key is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.save(key, out)
     return out
 
 
@@ -225,14 +208,13 @@ def quip_rankings(index: QuipIndex, queries: DenseVectorSet) -> np.ndarray:
 
 
 def lsh_rankings(method: str, database: DenseVectorSet, queries: DenseVectorSet,
-                 b_bits: int, seed: int, params: lsh.AlshParams | None = None) -> np.ndarray:
-    return _lsh_ranker(method, database, b_bits, seed, params)(queries)
+                 b_bits: int, seed: int) -> np.ndarray:
+    return _lsh_ranker(method, database, b_bits, seed)(queries)
 
 
-def _lsh_ranker(method: str, database: DenseVectorSet, b_bits: int, seed: int,
-                params: lsh.AlshParams | None = None):
+def _lsh_ranker(method: str, database: DenseVectorSet, b_bits: int, seed: int):
     """Hash the database once; the returned function ranks a query set."""
-    params = params or lsh.AlshParams(b_bits=b_bits, seed=seed)
+    params = lsh.AlshParams(b_bits=b_bits, seed=seed)
     max_norm = float(np.max(np.linalg.norm(database.data, axis=1)))
     scheme = method.replace("-", "_")
     if method == "l2-alsh":
@@ -378,13 +360,6 @@ def subspace_losses(index: QuipIndex, queries: DenseVectorSet,
     return out
 
 
-def enclosing_ball(data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Greedy 2-approximation: center at the first point, radius = max distance."""
-    center = data[0]
-    radius = float(np.max(np.linalg.norm(data - center, axis=1)))
-    return center, radius
-
-
 def concentration_check(index: QuipIndex, queries: DenseVectorSet,
                         db_data: np.ndarray, a: float,
                         epsilon: float) -> TheoryCheckReport:
@@ -409,7 +384,6 @@ def concentration_check(index: QuipIndex, queries: DenseVectorSet,
     delta = max(float(np.max(np.linalg.norm(
         layout.block(dbp, k) - cents[k][index.codes.codes[:, k]], axis=1)))
         for k in range(layout.K))
-    _, radius = enclosing_ball(db_data)
     return TheoryCheckReport(a=a, epsilon=epsilon, empirical_failure_rate=rate,
                              variance_bound=bound, subspace_losses=losses,
-                             q_max=q_max, delta=delta, ball_radius=radius)
+                             q_max=q_max, delta=delta)

@@ -2,7 +2,8 @@
 
 Partitions are learned with plain Euclidean k-means and stored as one
 QuipIndex in partition order (the inverted-file layout): a partition is a
-row slice.  index._search does the probing and scanning for hybrid_search.
+row slice, and every partition shares the index's one codebook.
+index._search does the probing and scanning for hybrid_search.
 """
 
 from __future__ import annotations
@@ -86,52 +87,35 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
                  cfg: TrainConfig, preprocess: PreprocessSpec, seed: int,
                  shared_codebook: Codebook | None = None,
                  shared_codes: CodeMatrix | None = None) -> QuipIndex:
-    """Partition, then quantize each partition.
+    """Partition, then quantize every row with the one codebook all
+    partitions share, so probe=P reproduces a flat scan over the same codes.
 
-    With shared_codebook, every partition is encoded against the one float32
-    codebook (probe=P then reproduces a flat scan over those codes exactly);
-    pass the flat scan's shared_codes to reuse them verbatim instead of
-    re-encoding.  Otherwise each partition trains its own codebook on its
-    members using the global covariance, which needs at least C members in
-    every partition.
+    The codebook is shared_codebook, frozen to float32, or else one
+    train_quip run over the whole database.  The codes are shared_codes, or
+    that run's codes, or else encode_database's against shared_codebook;
+    they are gathered into partition order in one fancy index.
     """
     if shared_codes is not None and shared_codebook is None:
         raise ValueError("shared_codes requires shared_codebook")
     centers, membership = train_partitioner(database, P, seed)
     rows = np.concatenate(membership)
     offsets = np.cumsum([0] + [len(m) for m in membership], dtype=np.int64)
-
-    def part(members: np.ndarray) -> DenseVectorSet:
-        return DenseVectorSet(data=database.data[members], ids=database.ids[members])
-
     if shared_codebook is None:
-        for p, members in enumerate(membership):
-            if len(members) < cfg.C:
-                raise ValueError(
-                    f"partition {p} has {len(members)} member(s), fewer than C={cfg.C} "
-                    "needed to train its codebook; lower --partitions or --c")
-        trained = [train_quip(part(members), cov, cfg)[:2] for members in membership]
-        codebooks = tuple(_float32_codebook(cb) for cb, _ in trained)
-        codes = np.concatenate([c.codes for _, c in trained])
-    else:
-        codebooks = (_float32_codebook(shared_codebook),)
-        if shared_codes is not None:
-            codes = shared_codes.codes[rows]
-        else:
-            codes = np.concatenate([
-                encode_database(part(members), codebooks[0], cov, codebooks[0].layout).codes
-                for members in membership])
-    return QuipIndex(codebooks=codebooks,
-                     codes=CodeMatrix(codes=_narrow_codes(codes, codebooks[0].C)),
-                     preprocess=preprocess, layout=codebooks[0].layout,
+        shared_codebook, shared_codes, _ = train_quip(database, cov, cfg)
+    codebook = _float32_codebook(shared_codebook)
+    if shared_codes is None:
+        shared_codes = encode_database(database, codebook, cov, codebook.layout)
+    codes = _narrow_codes(shared_codes.codes[rows], codebook.C)
+    return QuipIndex(codebook=codebook, codes=CodeMatrix(codes=codes),
+                     preprocess=preprocess, layout=codebook.layout,
                      ids=database.ids[rows], cov=cov, offsets=offsets, centers=centers)
 
 
 def hybrid_search(pindex: QuipIndex, q: np.ndarray, N: int,
                   probe: int) -> tuple[TopNResult, int]:
     """Top-N of a raw query over its probe partitions, plus the candidate
-    count scanned.  With a shared codebook, probe=P equals search_top_n bit
-    for bit.  A query of another width than the database's or with a
-    non-finite entry is a ValueError.
+    count scanned.  probe=P equals search_top_n bit for bit.  A query of
+    another width than the database's or with a non-finite entry is a
+    ValueError.
     """
     return next(_search(pindex, np.atleast_2d(q), N, probe))

@@ -29,12 +29,11 @@ class QuipIndex:
     """Every partition's rows in one store, in partition order.
 
     Partition p owns rows offsets[p]:offsets[p+1] of codes and ids, and
-    codebooks holds one codebook shared by every partition or one per
-    partition.  A flat index is one partition: offsets [0, n] and a center
-    that no search reads.
+    every partition shares the one codebook.  A flat index is one partition:
+    offsets [0, n] and a center that no search reads.
     """
 
-    codebooks: tuple[Codebook, ...]  # centroids stored float32; length 1 or P
+    codebook: Codebook  # centroids stored float32
     codes: CodeMatrix
     preprocess: PreprocessSpec
     layout: ChunkLayout
@@ -52,16 +51,8 @@ class QuipIndex:
         return self.codes.n
 
     @property
-    def codebook(self) -> Codebook:
-        """The codebook every partition shares."""
-        if len(self.codebooks) != 1:
-            raise ValueError("the index has one codebook per partition; "
-                             "search it with a probe")
-        return self.codebooks[0]
-
-    @property
     def bits_per_vector(self) -> int:
-        return self.layout.K * int(np.ceil(np.log2(self.codebooks[0].C)))
+        return self.layout.K * int(np.ceil(np.log2(self.codebook.C)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,7 @@ def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
 def _flat_index(codebook: Codebook, codes: CodeMatrix, preprocess: PreprocessSpec,
                 layout: ChunkLayout, ids: np.ndarray, cov: SubspaceCovariances) -> QuipIndex:
     """One partition holding every row."""
-    return QuipIndex(codebooks=(codebook,), codes=codes, preprocess=preprocess, layout=layout,
+    return QuipIndex(codebook=codebook, codes=codes, preprocess=preprocess, layout=layout,
                      ids=ids, cov=cov, offsets=np.array([0, len(ids)], dtype=np.int64),
                      centers=np.zeros((1, layout.d_padded)))
 
@@ -243,9 +234,8 @@ def _search(index: QuipIndex, Q: np.ndarray, N: int,
     Without a probe every row is scored: each block of queries gets one
     stacked table and one scan of the codes, then a selection per query.
     With one, each query picks its probe partitions by q . center (the
-    centers live in preprocessed space); the probed partitions are grouped
-    by codebook, each group gets one table and one scan over its row slices,
-    and one selection runs over the union of their scores.
+    centers live in preprocessed space); it gets one table and one scan over
+    its probed row slices, concatenated in probe order, then one selection.
     """
     if index.n == 0:
         raise ValueError("empty index")
@@ -278,25 +268,18 @@ def _scan_all(index: QuipIndex, Qp: np.ndarray, N: int) -> Iterator[tuple[TopNRe
 
 def _scan_probed(index: QuipIndex, qp: np.ndarray, N: int,
                  probe: int) -> tuple[TopNResult, int]:
-    shared = len(index.codebooks) == 1
-    groups: dict[int, list[slice]] = {}
-    for p in assign_query_partitions(qp, index.centers, probe):
-        groups.setdefault(0 if shared else p,
-                          []).append(slice(index.offsets[p], index.offsets[p + 1]))
-    ids, scores = [], []
-    for c, slices in groups.items():
-        table = build_lookup_table(qp, index.codebooks[c])
-        scores.append(table_scores(table, np.concatenate([index.codes.codes[s]
-                                                          for s in slices])))
-        ids.extend(index.ids[s] for s in slices)
-    ids = np.concatenate(ids)
-    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
+    slices = [slice(index.offsets[p], index.offsets[p + 1])
+              for p in assign_query_partitions(qp, index.centers, probe)]
+    ids = np.concatenate([index.ids[s] for s in slices])
+    scores = table_scores(build_lookup_table(qp, index.codebook),
+                          np.concatenate([index.codes.codes[s] for s in slices]))
+    return _rank_top_n(ids, scores, N), len(ids)
 
 
 def search_batch(index: QuipIndex, Q: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-N of every raw query row of Q (B, original_d) over every row: ids
     and scores, each (B, min(N, n)); row b equals search_top_n(index, Q[b], N)
-    bit for bit.  An index with one codebook per partition is a ValueError.
+    bit for bit and, on a partitioned index, a probe of every partition.
     """
     results = _search(index, Q, N)
     ids = np.empty((len(Q), min(N, index.n)), dtype=np.int64)

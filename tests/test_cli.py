@@ -283,15 +283,34 @@ class TestHybridTrain:
             for p in range(4):
                 np.testing.assert_array_equal(members[off[p]:off[p + 1]], membership[p])
 
-    def test_partition_smaller_than_C_is_usage_error(self, tmp_path, capsys):
-        db = str(tmp_path / "db.fvecs")
-        assert main(["synth", "--n", "3000", "--d", "16", "--seed", "0",
+    def test_readme_quick_start(self, tmp_path):
+        # the README's commands and sizes; k-means leaves partitions far
+        # smaller than C=256, which the one shared codebook does not mind
+        from quips import evalbench
+        from quips.hybrid import train_partitioner
+        db, qs, out = (str(tmp_path / f) for f in ("db.fvecs", "queries.fvecs", "parts.npz"))
+        assert main(["synth", "--n", "10000", "--d", "64", "--out", db]) == 0
+        assert main(["synth", "--n", "1000", "--d", "64", "--seed", "1", "--out", qs]) == 0
+        assert main(["hybrid-train", "--data", db, "--queries", qs,
+                     "--partitions", "50", "--probe", "10", "--out", out]) == 0
+        _, dbp, _, _ = evalbench.prepare_training(
+            "quip-cov-x", load_vectors(db, "fvecs"), None, 8,
+            evalbench.ExperimentConfig(seed=0, preprocess="permutation"))
+        _, membership = train_partitioner(dbp, 50, 0)
+        with np.load(out) as arc:
+            members, off = arc["members"], arc["offsets"]
+        assert min(len(m) for m in membership) < 256
+        np.testing.assert_array_equal(off, np.cumsum([0] + [len(m) for m in membership]))
+        np.testing.assert_array_equal(members, np.concatenate(membership))
+
+    def test_fewer_rows_than_C_is_usage_error(self, tmp_path, capsys):
+        db, out = str(tmp_path / "db.fvecs"), tmp_path / "p.npz"
+        assert main(["synth", "--n", "100", "--d", "16", "--seed", "0",
                      "--out", db]) == 0
-        assert main(["hybrid-train", "--data", db, "--partitions", "20",
-                     "--c", "16", "--k", "4", "--out", str(tmp_path / "p.npz")]) == 1
-        err = capsys.readouterr().err
-        assert "member(s), fewer than C=16" in err and "--partitions" in err
-        assert "need n >= C" not in err
+        assert main(["hybrid-train", "--data", db, "--partitions", "4",
+                     "--k", "4", "--out", str(out)]) == 1
+        assert "need n >= C" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -33,17 +33,14 @@ def blob_data(seed=0, per=40, d=6, centers=4, spread=0.05):
 
 
 def per_partition_search(pindex, q, N, probe):
-    """The algorithm the contiguous scan replaced: one table per distinct
-    codebook, one scan per probed partition in probe order, scores
-    concatenated, one selection."""
+    """The algorithm the contiguous scan replaced: one table, one scan per
+    probed partition in probe order, scores concatenated, one selection."""
     qp = apply_preprocess_rows(q, pindex.preprocess)
-    tables, ids, scores = {}, [], []
+    table = build_lookup_table(qp, pindex.codebook)
+    ids, scores = [], []
     for p in assign_query_partitions(qp, pindex.centers, probe):
         lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
-        cb = pindex.codebooks[p if len(pindex.codebooks) > 1 else 0]
-        if id(cb) not in tables:
-            tables[id(cb)] = build_lookup_table(qp, cb)
-        scores.append(table_scores(tables[id(cb)], pindex.codes.codes[lo:hi]))
+        scores.append(table_scores(table, pindex.codes.codes[lo:hi]))
         ids.append(pindex.ids[lo:hi])
     ids = np.concatenate(ids)
     return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
@@ -53,9 +50,8 @@ def partition_index(pindex, p):
     """Partition p as a flat index of its own."""
     lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
     return build_index(make_set(np.zeros((hi - lo, 1)), ids=pindex.ids[lo:hi]),
-                       pindex.codebooks[p if len(pindex.codebooks) > 1 else 0],
-                       CodeMatrix(codes=pindex.codes.codes[lo:hi]), pindex.preprocess,
-                       pindex.cov)
+                       pindex.codebook, CodeMatrix(codes=pindex.codes.codes[lo:hi]),
+                       pindex.preprocess, pindex.cov)
 
 
 class TestPartitioner:
@@ -232,32 +228,27 @@ class TestHybridSearch:
             pindex = build_hybrid(self.vs, P=5, cov=self.cov, cfg=self.cfg,
                                   preprocess=self.spec, seed=1, shared_codebook=cb,
                                   shared_codes=shared_codes)
-            assert len(pindex.codebooks) == 1 and pindex.P == 5
-            assert pindex.codebook.centroids.dtype == np.float32
+            assert pindex.P == 5 and pindex.codebook.centroids.dtype == np.float32
 
-    def test_own_codebooks_equal_per_partition_merge(self):
-        pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=5)
-        assert len({id(cb) for cb in pindex.codebooks}) == pindex.P == 4
-        for q in self.queries:
-            for probe in (1, 2, 3):
-                res, _ = hybrid_search(pindex, q, N=10, probe=probe)
-                # the merge it replaced: top-N per probed partition, then top-N
-                parts = [partition_index(pindex, p)
-                         for p in assign_query_partitions(q, pindex.centers, probe)]
-                tops = [search_top_n(sub, q, 10) for sub in parts]
-                ids = np.concatenate([t.ids for t in tops])
-                scores = np.concatenate([t.scores for t in tops])
-                order = np.lexsort((ids, -scores))[:10]
-                np.testing.assert_array_equal(res.ids, ids[order])
-                assert res.scores.tobytes() == scores[order].tobytes()
-
-    def test_partition_smaller_than_C_is_named(self):
-        big = TrainConfig(K=4, C=64, T=2, seed=0)
-        with pytest.raises(ValueError,
-                           match=r"partition \d+ has \d+ member\(s\), fewer than C=64"):
-            build_hybrid(self.vs, P=6, cov=self.cov, cfg=big, preprocess=self.spec,
-                         seed=2)
+    def test_partitions_smaller_than_C_share_the_trained_codebook(self):
+        big = TrainConfig(K=4, C=64, T=3, seed=0)
+        pindex = build_hybrid(self.vs, P=6, cov=self.cov, cfg=big, preprocess=self.spec,
+                              seed=2)
+        assert np.diff(pindex.offsets).min() < big.C
+        cb, codes, _ = train_quip(self.vs, self.cov, big)
+        rows = np.concatenate(train_partitioner(self.vs, 6, 2)[1])
+        assert pindex.codebook.centroids.dtype == np.float32
+        assert pindex.codebook.centroids.tobytes() == cb.centroids.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(pindex.codes.codes, codes.codes[rows])
+        flat = build_index(self.vs, cb, codes, self.spec, self.cov)
+        ids, scores = search_batch(pindex, self.queries, 10)
+        for b, q in enumerate(self.queries):
+            ref = search_top_n(flat, q, 10)
+            res, scanned = hybrid_search(pindex, q, N=10, probe=6)
+            assert scanned == 200
+            for got_ids, got_scores in ((res.ids, res.scores), (ids[b], scores[b])):
+                np.testing.assert_array_equal(got_ids, ref.ids)
+                assert got_scores.tobytes() == ref.scores.tobytes()
 
     def test_scanned_count_is_sum_of_probed_sizes(self):
         pindex = build_hybrid(self.vs, P=6, cov=self.cov, cfg=self.cfg,
@@ -375,23 +366,24 @@ class TestContiguousLayout:
         np.testing.assert_array_equal(pindex.codes.codes, codes.codes[rows])
         assert pindex.codes.codes.dtype == code_dtype(8)
         np.testing.assert_array_equal(pindex.ids, self.vs.ids[rows])
-        assert len(pindex.codebooks) == 1 and pindex.n == 150
+        assert pindex.n == 150
 
     def test_membership_and_partitions_are_views(self):
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=2)
-        assert len(pindex.codebooks) == 4
         _, expect = train_partitioner(self.vs, 4, 2)
         for p, members in enumerate(expect):
             lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
             np.testing.assert_array_equal(pindex.ids[lo:hi], self.vs.ids[members])
             part = partition_index(pindex, p)
-            assert part.codebook is pindex.codebooks[p]
+            assert part.codebook is pindex.codebook
             np.testing.assert_array_equal(part.codes.codes, pindex.codes.codes[lo:hi])
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_save_refuses_more_than_one_partition(self, tmp_path, shared):
-        cb = train_quip(self.vs, self.cov, self.cfg)[0] if shared else None
+    # given: the codebook is passed in and the rows encoded against it;
+    # otherwise build_hybrid trains it and keeps the training codes
+    @pytest.mark.parametrize("given", [True, False])
+    def test_save_refuses_more_than_one_partition(self, tmp_path, given):
+        cb = train_quip(self.vs, self.cov, self.cfg)[0] if given else None
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=2, shared_codebook=cb)
         path = tmp_path / "p.quip"
@@ -399,14 +391,14 @@ class TestContiguousLayout:
             save_index(pindex, str(path))
         assert not path.exists()
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_one_row_partitions(self, shared):
+    @pytest.mark.parametrize("given", [True, False])
+    def test_one_row_partitions(self, given):
         data = np.random.default_rng(1).standard_normal((8, 4))
         vs = make_set(data)
         layout = make_chunk_layout(4, 2)
         cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
         cfg = TrainConfig(K=2, C=1, T=2, seed=0)
-        cb = train_quip(vs, cov, cfg)[0] if shared else None
+        cb = train_quip(vs, cov, cfg)[0] if given else None
         pindex = build_hybrid(vs, P=8, cov=cov, cfg=cfg, seed=0, shared_codebook=cb,
                               preprocess=PreprocessSpec(kind="identity", seed=0,
                                                         d_padded=4))
@@ -425,14 +417,13 @@ class TestHybridMatchesPerPartitionScan:
     @given(st.data())
     def test_bit_for_bit(self, data):
         """hybrid_search equals the per-partition scan over any layout:
-        shared or per-partition codebooks, one-row partitions, probe 1..P,
-        heavy score ties (C down to 1) and unsorted ids."""
+        one-row partitions, probe 1..P, heavy score ties (C down to 1) and
+        unsorted ids; search_batch and probe=P equal the flat index."""
         sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6), label="sizes")
         P, n = len(sizes), sum(sizes)
         K = data.draw(st.integers(1, 3), label="K")
         d = data.draw(st.integers(K, 4 * K), label="d")
         C = data.draw(st.integers(1, 5), label="C")
-        shared = data.draw(st.booleans(), label="shared")
         kind = data.draw(st.sampled_from(["identity", "permutation", "hadamard_rotation"]),
                          label="kind")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -440,12 +431,10 @@ class TestHybridMatchesPerPartitionScan:
             spec, layout = make_preprocess(kind, 3, make_chunk_layout(d, K))
         except ValueError:  # K does not divide a power of 2
             spec, layout = make_preprocess("permutation", 3, make_chunk_layout(d, K))
-        codebooks = tuple(
-            Codebook(layout=layout, centroids=rng.standard_normal(
-                (K, C, layout.l)).astype(np.float32))
-            for _ in range(1 if shared else P))
+        codebook = Codebook(layout=layout, centroids=rng.standard_normal(
+            (K, C, layout.l)).astype(np.float32))
         pindex = QuipIndex(
-            codebooks=codebooks,
+            codebook=codebook,
             codes=CodeMatrix(codes=rng.integers(0, C, (n, K)).astype(code_dtype(C))),
             preprocess=spec, layout=layout, ids=rng.permutation(n).astype(np.int64) * 3 - n,
             cov=SubspaceCovariances(layout=layout, source="database",
@@ -461,24 +450,19 @@ class TestHybridMatchesPerPartitionScan:
             np.testing.assert_array_equal(res.ids, ref.ids)
             assert res.scores.tobytes() == ref.scores.tobytes()
             assert scanned == ref_scanned
-        if shared:
-            # every row of the store, in partition order, equals the flat
-            # index over the same codes and ids, and so does probing every
-            # partition
-            flat = build_index(make_set(np.zeros((n, 1)), ids=pindex.ids), codebooks[0],
-                               pindex.codes, spec, pindex.cov)
-            ids, scores = search_batch(pindex, Q, N)
-            flat_ids, flat_scores = search_batch(flat, Q, N)
-            np.testing.assert_array_equal(ids, flat_ids)
-            assert scores.tobytes() == flat_scores.tobytes()
-            for b, q in enumerate(Q):
-                res, scanned = hybrid_search(pindex, q, N, P)
-                np.testing.assert_array_equal(res.ids, ids[b])
-                assert res.scores.tobytes() == scores[b].tobytes()
-                assert scanned == n
-        elif P > 1:
-            with pytest.raises(ValueError, match="one codebook per partition"):
-                search_batch(pindex, Q, N)
+        # every row of the store, in partition order, equals the flat index
+        # over the same codes and ids, and so does probing every partition
+        flat = build_index(make_set(np.zeros((n, 1)), ids=pindex.ids), codebook,
+                           pindex.codes, spec, pindex.cov)
+        ids, scores = search_batch(pindex, Q, N)
+        flat_ids, flat_scores = search_batch(flat, Q, N)
+        np.testing.assert_array_equal(ids, flat_ids)
+        assert scores.tobytes() == flat_scores.tobytes()
+        for b, q in enumerate(Q):
+            res, scanned = hybrid_search(pindex, q, N, P)
+            np.testing.assert_array_equal(res.ids, ids[b])
+            assert res.scores.tobytes() == scores[b].tobytes()
+            assert scanned == n
 
 
 class TestHybridQueryPreconditions:
