@@ -155,15 +155,21 @@ def _run(args) -> int:
             raise InvariantViolation("empirical failure rate exceeds the variance bound")
     elif args.command == "hybrid-train":
         from .hybrid import build_hybrid, hybrid_search
+        if args.queries and not 1 <= args.probe <= args.partitions:
+            raise ValueError(f"need 1 <= --probe <= --partitions; got --probe {args.probe}, "
+                             f"--partitions {args.partitions}")
+        if args.queries and args.topn < 1:
+            raise ValueError(f"need --topn >= 1; got {args.topn}")
         db = load_vectors(args.data, args.format)
         spec, dbp, _, cov = evalbench.prepare_training(
             "quip-cov-x", db, None, args.k,
             evalbench.ExperimentConfig(seed=args.seed, preprocess="permutation", ridge=1e-6))
         cfg = TrainConfig(K=args.k, C=args.c, seed=args.seed)
         pindex = build_hybrid(dbp, args.partitions, cov, cfg, spec, args.seed)
-        # the CLI loads ids as row numbers, so the ids are each partition's rows
-        np.savez(args.out, centers=pindex.centers, members=pindex.ids,
-                 offsets=pindex.offsets)
+        # the CLI loads ids as row numbers, so the ids are each partition's rows;
+        # savez given a path would append ".npz" to it, given a file it does not
+        with open(args.out, "wb") as f:
+            np.savez(f, centers=pindex.centers, members=pindex.ids, offsets=pindex.offsets)
         if args.queries:
             qs = load_vectors(args.queries, args.format)
             res, scanned = hybrid_search(pindex, qs.data[0], args.topn, args.probe)

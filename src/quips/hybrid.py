@@ -18,7 +18,8 @@ from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _se
 # the hybrid layer's partition choice, and search_top_n is checked by its
 # binding test.
 from .index import assign_query_partitions, search_top_n  # noqa: F401
-from .train import Codebook, CodeMatrix, TrainConfig, train_quip
+from .train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
+                    update_centroids)
 from .vecstore import DenseVectorSet, PreprocessSpec
 
 
@@ -42,39 +43,41 @@ def train_partitioner(database: DenseVectorSet, P: int, seed: int,
                       iters: int = 25) -> tuple[np.ndarray, list[np.ndarray]]:
     """Seeded Lloyd k-means; empty clusters are repaired by splitting the largest.
 
-    Row norms are computed once and the (n, P) distances reuse one buffer.
-    The cross term is x . 2c, which has the bits of 2x . c (scaling by two is
-    exact) without a doubled copy of the data.  Each cluster's mean runs over
-    its members in ascending row order, taken from one stable sort of the
-    assignment.
+    It is the codebook trainer's Lloyd step with Sigma = I: rows are assigned
+    by train.mahalanobis_assign (row tiles, ties to the lowest index) and
+    centers are train.update_centroids' means, summed in ascending row order.
+    The tiled costs leave out |x|^2 and may round differently from the
+    whole-matrix |x|^2 - 2x.c + |c|^2, but the argmins, and so the centers,
+    have matched that form bit for bit on every (n, d, P) checked: (300, 6, 7),
+    (2000, 64, 20), (1000, 17, 50), (50, 3, 50) and (5000, 64, 100), C- and
+    Fortran-ordered (tests/test_hybrid.py), and the benchmark's
+    (50000, 64, 100).  Needs 1 <= P <= n and iters >= 1.
     """
     n = database.n
-    if n < P:
-        raise ValueError(f"need n >= P; got n={n}, P={P}")
+    if not 1 <= P <= n:
+        raise ValueError(f"need 1 <= P <= n; got P={P}, n={n}")
+    if iters < 1:
+        raise ValueError(f"need iters >= 1; got {iters}")
     data = database.data
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(data, P, rng)
-    norms = np.sum(data ** 2, axis=1, keepdims=True)
-    d2 = np.empty((n, P))
+    identity = np.eye(data.shape[1])
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(iters):
-        # |x|^2 - 2 x.c + |c|^2, in that order
-        np.subtract(norms, np.matmul(data, (2.0 * centers).T, out=d2), out=d2)
-        d2 += np.sum(centers ** 2, axis=1)
-        new_assign = np.argmin(d2, axis=1)
+        new_assign = mahalanobis_assign(data, centers, identity)
         counts = np.bincount(new_assign, minlength=P)
         # moving one row out of the largest cluster never empties it
         for p in np.flatnonzero(counts == 0):
             big = np.argmax(counts)
             members = np.flatnonzero(new_assign == big)
-            new_assign[members[np.argmax(d2[members, big])]] = p
+            far = np.sum((data[members] - centers[big]) ** 2, axis=1)
+            new_assign[members[np.argmax(far)]] = p
             counts[big] -= 1
             counts[p] += 1
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for p, members in enumerate(_members(assign, counts)):
-            centers[p] = data[members].mean(axis=0)
+        centers = update_centroids(data, assign, P)[0]
     return centers, _members(assign, np.bincount(assign, minlength=P))
 
 

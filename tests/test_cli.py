@@ -312,6 +312,41 @@ class TestHybridTrain:
         assert "need n >= C" in capsys.readouterr().err
         assert not out.exists()
 
+    # "QS" stands for the query file; --probe and --topn are checked only with one
+    @pytest.mark.parametrize("extra,named", [
+        (["--partitions", "0"], "P=0"),
+        (["--partitions", "-3"], "P=-3"),
+        (["--partitions", "5", "--queries", "QS", "--probe", "9"], "--probe 9"),
+        (["--partitions", "5", "--queries", "QS", "--probe", "0"], "--probe 0"),
+        (["--partitions", "5", "--queries", "QS", "--probe", "2", "--topn", "0"],
+         "--topn >= 1; got 0"),
+    ], ids=["partitions-0", "partitions-negative", "probe-over-partitions", "probe-0",
+            "topn-0"])
+    def test_bad_counts_are_usage_errors(self, tmp_path, vec_files, capsys, extra, named):
+        db, qs = vec_files
+        out = tmp_path / "p.npz"
+        extra = [qs if a == "QS" else a for a in extra]
+        assert main(["hybrid-train", "--data", db, "--k", "4", "--c", "4",
+                     "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and named in err
+        assert not out.exists()
+
+    def test_probe_checked_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.fvecs")
+        assert main(["hybrid-train", "--data", missing, "--queries", missing,
+                     "--partitions", "5", "--probe", "9", "--out", str(tmp_path / "p")]) == 1
+        assert "--probe 9" in capsys.readouterr().err
+
+    def test_writes_exactly_out(self, tmp_path, vec_files):
+        db, _ = vec_files
+        out = tmp_path / "parts"
+        assert main(["hybrid-train", "--data", db, "--partitions", "4", "--k", "4",
+                     "--c", "4", "--out", str(out)]) == 0
+        assert out.is_file() and not (tmp_path / "parts.npz").exists()
+        with np.load(out) as arc:
+            assert arc["offsets"][-1] == 200
+
 
 class TestUsage:
     def test_no_command(self):

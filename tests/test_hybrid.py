@@ -104,6 +104,16 @@ class TestPartitioner:
         with pytest.raises(ValueError):
             train_partitioner(make_set(np.ones((3, 2))), P=5, seed=0)
 
+    @pytest.mark.parametrize("P", [0, -3])
+    def test_no_partitions_is_value_error(self, P):
+        with pytest.raises(ValueError, match=f"P={P}"):
+            train_partitioner(make_set(np.ones((3, 2))), P=P, seed=0)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_no_iterations_is_value_error(self, iters):
+        with pytest.raises(ValueError, match=f"iters >= 1; got {iters}"):
+            train_partitioner(make_set(np.ones((3, 2))), P=2, seed=0, iters=iters)
+
 
 def doubled_data_partitioner(data, P, seed, iters=25):
     """train_partitioner with the cross term as (2x) . c over a doubled copy
@@ -136,10 +146,16 @@ def doubled_data_partitioner(data, P, seed, iters=25):
 
 
 class TestPartitionerBits:
-    @pytest.mark.parametrize("n,d,P,seed", [(300, 6, 7, 0), (2000, 64, 20, 1),
-                                            (1000, 17, 50, 2), (50, 3, 50, 3)])
-    def test_equals_doubled_data_form(self, n, d, P, seed):
-        data = np.random.default_rng(seed).standard_normal((n, d)) * 3
+    # permutation preprocessing hands the partitioner Fortran-ordered rows;
+    # C-ordered cases keep their shape-only ids
+    @pytest.mark.parametrize("n,d,P,seed,order", [
+        pytest.param(*shape, order, id="-".join(map(str, shape)) + ("-F" if order == "F" else ""))
+        for shape in [(300, 6, 7, 0), (2000, 64, 20, 1), (1000, 17, 50, 2), (50, 3, 50, 3),
+                      (5000, 64, 100, 4)]
+        for order in "CF"])
+    def test_equals_doubled_data_form(self, n, d, P, seed, order):
+        data = np.asarray(np.random.default_rng(seed).standard_normal((n, d)) * 3,
+                          order=order)
         centers, membership = train_partitioner(make_set(data), P, seed)
         want_centers, want_membership, _ = doubled_data_partitioner(data, P, seed)
         assert centers.tobytes() == want_centers.tobytes()
@@ -158,7 +174,8 @@ class TestPartitionerBits:
         for got, want in zip(membership, want_membership):
             np.testing.assert_array_equal(got, want)
 
-    def test_no_copy_of_the_data_beside_the_distances(self):
+    def test_no_distance_matrix(self):
+        # an (n, P) buffer alone is 16 MB here, over three times the data
         n, d, P = 20_000, 32, 100
         vs = make_set(np.random.default_rng(0).standard_normal((n, d)))
         tracemalloc.start()
@@ -167,7 +184,7 @@ class TestPartitionerBits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - n * P * 8 < vs.data.nbytes / 2
+        assert peak < 1.5 * vs.data.nbytes
 
 
 class TestQueryAssignment:
