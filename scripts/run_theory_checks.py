@@ -11,10 +11,8 @@ concentration report (empirical failure rate vs the variance bound).
 import argparse
 import json
 
-import numpy as np
-
-from quips.evalbench import (ExperimentConfig, build_quip_pipeline,
-                             concentration_check, unbiasedness_check)
+from quips.evalbench import (ExperimentConfig, build_quip_pipeline, concentration_check,
+                             concentration_threshold, unbiasedness_check)
 from quips.train import TrainConfig
 from quips.vecstore import generate_synthetic
 
@@ -27,7 +25,7 @@ def main() -> None:
     ap.add_argument("--c", type=int, default=16)
     ap.add_argument("--n-queries", type=int, default=200)
     ap.add_argument("--spread", type=float, default=10.0)
-    ap.add_argument("--epsilon", type=float, default=0.3)
+    ap.add_argument("--epsilon", type=float, default=0.2)
     ap.add_argument("--a-percentile", type=float, default=70.0)
     ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
@@ -35,8 +33,7 @@ def main() -> None:
 
     db = generate_synthetic(args.n, args.d, args.spread, args.seed)
     qs = generate_synthetic(args.n_queries, args.d, args.spread, args.seed + 1)
-    exact = qs.data @ db.data.T
-    a = float(np.percentile(exact[exact > 0], args.a_percentile))
+    a = concentration_threshold(qs.data, db.data, args.a_percentile)
     # identity preprocessing, so the raw rows are the ones the index encodes
     cfg = ExperimentConfig(seed=args.seed, preprocess="identity", ridge=1e-6,
                            iters=TrainConfig().T)

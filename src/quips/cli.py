@@ -145,10 +145,7 @@ def _run(args) -> int:
         qs = load_vectors(args.queries, args.format)
         dp = apply_preprocess(data, index.preprocess)
         qp = apply_preprocess(qs, index.preprocess)
-        exact = qp.data @ dp.data.T
-        a = float(np.percentile(exact, args.a_percentile))
-        if a <= 0:
-            raise DataError("a-percentile of dot products is not positive")
+        a = evalbench.concentration_threshold(qp.data, dp.data, args.a_percentile)
         report = evalbench.concentration_check(index, qp, dp.data, a, args.epsilon)
         print(json.dumps(report.to_dict(), indent=2))
         if report.empirical_failure_rate > min(1.0, report.variance_bound) + 1e-12:

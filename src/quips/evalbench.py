@@ -5,17 +5,17 @@ per-subspace losses, concentration bound)."""
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import lsh
 from .covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from .index import (QuipIndex, build_index, exact_top_n, search_batch,
-                    stack_lookup_tables, table_scores)
+from .index import (QuipIndex, _rank_rows, build_index, search_batch, stack_lookup_tables,
+                    table_scores)
 from .train import TrainConfig, train_quip, train_quip_opt
 from .vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
                        make_chunk_layout, make_preprocess, pad_to)
@@ -66,13 +66,18 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r} must be >= {_AT_LEAST[key]}; "
                                  f"got {val!r}")
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
+        if not all(type(b) is int and b >= 1 for b in cfg.bits):
+            raise ValueError(f"config key 'bits' must list ints >= 1; got {list(cfg.bits)!r}")
+        if (cfg.data_path is None) != (cfg.query_path is None):
+            raise ValueError("config keys 'data_path' and 'query_path' must be set together")
         return cfg
 
 
 # JSON types accepted for a config key, by the type of its default
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,),
                type(None): (str, type(None))}
-_AT_LEAST = {"n": 1, "d": 1, "C": 1, "topN": 1, "iters": 1, "lam": 0}
+_AT_LEAST = {"n": 1, "d": 1, "C": 1, "topN": 1, "iters": 1, "lam": 0,
+             "fixed_time_multiplier": 1}
 
 
 @dataclass(frozen=True)
@@ -102,23 +107,17 @@ class TheoryCheckReport:
     delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "epsilon": self.epsilon,
-            "empirical_failure_rate": self.empirical_failure_rate,
-            "variance_bound": self.variance_bound,
-            "subspace_losses": [float(x) for x in self.subspace_losses],
-            "q_max": self.q_max, "delta": self.delta,
-        }
+        return {**asdict(self), "subspace_losses": [float(x) for x in self.subspace_losses]}
 
 
 def ground_truth(database: DenseVectorSet, queries: DenseVectorSet, topN: int) -> np.ndarray:
-    """Exact top-N ids per query."""
+    """Exact top-N ids per query, by one GEMM per block of queries: the scores
+    may round otherwise than exact_top_n's GEMV, the ids are its ids."""
     if database.n == 0 or queries.n == 0:
         raise ValueError("empty input")
-    out = np.empty((queries.n, min(topN, database.n)), dtype=np.int64)
-    for j in range(queries.n):
-        out[j] = exact_top_n(database, queries.data[j], topN).ids
-    return out
+    tops = _rank_rows(pad_to(queries.data, database.d), database.ids,
+                      lambda block: block @ database.data.T, topN)
+    return np.fromiter((t.ids for t in tops), (np.int64, min(topN, database.n)), queries.n)
 
 
 def precision_recall(ranked: np.ndarray, truth: np.ndarray, topN: int) -> PRCurve:
@@ -202,48 +201,37 @@ def build_quip_pipeline(method: str, database: DenseVectorSet,
     return build_index(dbp, cb, codes, spec, cov)
 
 
-def quip_rankings(index: QuipIndex, queries: DenseVectorSet) -> np.ndarray:
-    """Full descending-score id ranking per query."""
-    return search_batch(index, queries.data, index.n)[0]
-
-
 def lsh_rankings(method: str, database: DenseVectorSet, queries: DenseVectorSet,
                  b_bits: int, seed: int) -> np.ndarray:
     return _lsh_ranker(method, database, b_bits, seed)(queries)
 
 
 def _lsh_ranker(method: str, database: DenseVectorSet, b_bits: int, seed: int):
-    """Hash the database once; the returned function ranks a query set."""
-    params = lsh.AlshParams(b_bits=b_bits, seed=seed)
+    """Hash the database once; the returned function ranks every row for each query."""
+    params = lsh.AlshParams()
     max_norm = float(np.max(np.linalg.norm(database.data, axis=1)))
     scheme = method.replace("-", "_")
-    if method == "l2-alsh":
-        db_aug = lsh.augment_set(database.data, "l2_alsh", "database", params, max_norm)
-        n_hashes = max(b_bits // 8, 1)  # one byte of budget per integer hash
-        db_buckets = lsh.l2_encode(db_aug, n_hashes, params.r_lsh, seed)
+    n_hashes = max(b_bits // 8, 1)  # L2 ALSH: one byte of budget per integer hash
 
-        def rank_buckets(queries: DenseVectorSet) -> np.ndarray:
-            q_aug = lsh.augment_set(queries.data, "l2_alsh", "query", params, max_norm)
-            q_buckets = lsh.l2_encode(q_aug, n_hashes, params.r_lsh, seed)
-            out = np.empty((queries.n, database.n), dtype=np.int64)
-            for j in range(queries.n):
-                out[j] = lsh.bucket_match_search(db_buckets, q_buckets[j],
-                                                 database.ids, database.n).ids
-            return out
-        return rank_buckets
-    db_aug = lsh.augment_set(database.data, scheme, "database", params, max_norm)
-    codes = lsh.srp_encode(db_aug, b_bits, seed, ids=database.ids, scheme=scheme)
+    def encode(data: np.ndarray, side: str) -> np.ndarray:
+        aug = lsh.augment_set(data, scheme, side, params, max_norm)
+        if method == "l2-alsh":
+            return lsh.l2_encode(aug, n_hashes, params.r_lsh, seed)
+        return lsh.srp_encode(aug, b_bits, seed).packed
 
-    def rank_hamming(queries: DenseVectorSet) -> np.ndarray:
-        q_aug = lsh.augment_set(queries.data, scheme, "query", params, max_norm)
-        qcodes = lsh.srp_encode(q_aug, b_bits, seed, scheme=scheme)
-        out = np.empty((queries.n, database.n), dtype=np.int64)
-        for j in range(queries.n):
-            qc = lsh.BinaryCodeSet(packed=qcodes.packed[j : j + 1], b_bits=b_bits,
-                                   scheme=scheme, ids=np.zeros(1, dtype=np.int64))
-            out[j] = lsh.hamming_search(codes, qc, database.n).ids
-        return out
-    return rank_hamming
+    db_codes = encode(database.data, "database")
+
+    def scores_of(block: np.ndarray) -> np.ndarray:
+        if method == "l2-alsh":
+            return lsh.bucket_match_search(db_codes, block)
+        dists = lsh.hamming_search(lsh.BinaryCodeSet(db_codes, b_bits),
+                                   lsh.BinaryCodeSet(block, b_bits))
+        return np.negative(dists, out=dists)
+
+    def rank(queries: DenseVectorSet) -> np.ndarray:
+        tops = _rank_rows(encode(queries.data, "query"), database.ids, scores_of, database.n)
+        return np.fromiter((t.ids for t in tops), (np.int64, database.n), queries.n)
+    return rank
 
 
 def _method_curve(method: str, bits: int, db: DenseVectorSet,
@@ -256,7 +244,9 @@ def _method_curve(method: str, bits: int, db: DenseVectorSet,
         if bits % code_bits:
             raise ValueError(f"bit budget {bits} not divisible by {code_bits} (C={cfg.C})")
         index = build_quip_pipeline(method, db, ex_q, bits // code_bits, cfg.C, cfg)
-        rank = functools.partial(quip_rankings, index)
+
+        def rank(queries: DenseVectorSet) -> np.ndarray:
+            return search_batch(index, queries.data, index.n)[0]
     elif method in LSH_METHODS:
         rank = _lsh_ranker(method, db, bits, cfg.seed)
     else:
@@ -345,19 +335,30 @@ def unbiasedness_check(index: QuipIndex, queries: DenseVectorSet,
             "within_3se": abs(mean) <= 3.0 * se}
 
 
+def _residuals(index: QuipIndex, db_data: np.ndarray) -> Iterator[np.ndarray]:
+    """Per subspace in turn, the (n, l) database blocks minus their centroids."""
+    layout = index.layout
+    dbp = pad_to(db_data, layout.d_padded)
+    cents = np.asarray(index.codebook.centroids, dtype=np.float64)
+    return (layout.block(dbp, k) - cents[k][index.codes.codes[:, k]] for k in range(layout.K))
+
+
 def subspace_losses(index: QuipIndex, queries: DenseVectorSet,
                     db_data: np.ndarray) -> np.ndarray:
     """Per-subspace expected squared inner-product quantization error."""
-    layout = index.layout
-    qp = pad_to(queries.data, layout.d_padded)
-    dbp = pad_to(db_data, layout.d_padded)
-    cents = np.asarray(index.codebook.centroids, dtype=np.float64)
-    out = np.empty(layout.K)
-    for k in range(layout.K):
-        resid = layout.block(dbp, k) - cents[k][index.codes.codes[:, k]]
-        z = layout.block(qp, k) @ resid.T  # (|Q|, n)
-        out[k] = float(np.mean(np.sum(z ** 2, axis=1)))
-    return out
+    qp = pad_to(queries.data, index.layout.d_padded)
+    return np.array([np.mean(np.sum((index.layout.block(qp, k) @ r.T) ** 2, axis=1))
+                     for k, r in enumerate(_residuals(index, db_data))])
+
+
+def concentration_threshold(queries: np.ndarray, db_data: np.ndarray,
+                            percentile: float) -> float:
+    """The concentration check's a: that percentile of the positive q . x."""
+    exact = queries @ db_data.T
+    positive = exact[exact > 0]
+    if positive.size == 0:
+        raise DataError("no (query, row) pair has a positive dot product")
+    return float(np.percentile(positive, percentile))
 
 
 def concentration_check(index: QuipIndex, queries: DenseVectorSet,
@@ -379,11 +380,7 @@ def concentration_check(index: QuipIndex, queries: DenseVectorSet,
     qp = pad_to(queries.data, layout.d_padded)
     q_max = max(float(np.max(np.linalg.norm(layout.block(qp, k), axis=1)))
                 for k in range(layout.K))
-    dbp = pad_to(db_data, layout.d_padded)
-    cents = np.asarray(index.codebook.centroids, dtype=np.float64)
-    delta = max(float(np.max(np.linalg.norm(
-        layout.block(dbp, k) - cents[k][index.codes.codes[:, k]], axis=1)))
-        for k in range(layout.K))
+    delta = max(float(np.max(np.linalg.norm(r, axis=1))) for r in _residuals(index, db_data))
     return TheoryCheckReport(a=a, epsilon=epsilon, empirical_failure_rate=rate,
                              variance_bound=bound, subspace_losses=losses,
                              q_max=q_max, delta=delta)

@@ -8,7 +8,7 @@ table of partial dot products; scoring a row is K table reads and adds.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +94,16 @@ def _rank_top_n(ids: np.ndarray, scores: np.ndarray, N: int) -> TopNResult:
     if order is None:
         order = np.lexsort((ids, -scores))[:N]
     return TopNResult(ids=ids[order].astype(np.int64), scores=scores[order])
+
+
+def _rank_rows(Q: np.ndarray, ids: np.ndarray,
+               scores_of: Callable[[np.ndarray], np.ndarray], N: int) -> Iterator[TopNResult]:
+    """_rank_top_n of every row of Q's scores against the n = len(ids) rows:
+    Q goes in blocks of _BLOCK_SCORES // n rows, scores_of(block) is (B, n)."""
+    block = max(1, _BLOCK_SCORES // len(ids))
+    for lo in range(0, len(Q), block):
+        for row in scores_of(Q[lo:lo + block]):
+            yield _rank_top_n(ids, row, N)
 
 
 def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
@@ -254,16 +264,10 @@ def _search(index: QuipIndex, Q: np.ndarray, N: int,
         raise ValueError("queries hold a non-finite value")
     Qp = apply_preprocess_rows(Q, index.preprocess)
     if probe is None:
-        return _scan_all(index, Qp, N)
+        tops = _rank_rows(Qp, index.ids, lambda block: table_scores(
+            stack_lookup_tables(block, index.codebook), index.codes.codes), N)
+        return ((top, index.n) for top in tops)
     return (_scan_probed(index, qp, N, probe) for qp in Qp)
-
-
-def _scan_all(index: QuipIndex, Qp: np.ndarray, N: int) -> Iterator[tuple[TopNResult, int]]:
-    block = max(1, _BLOCK_SCORES // index.n)
-    for lo in range(0, len(Qp), block):
-        table = stack_lookup_tables(Qp[lo:lo + block], index.codebook)
-        for row in table_scores(table, index.codes.codes):
-            yield _rank_top_n(index.ids, row, N), index.n
 
 
 def _scan_probed(index: QuipIndex, qp: np.ndarray, N: int,

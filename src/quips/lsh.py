@@ -1,8 +1,8 @@
 """Asymmetric-transform LSH baselines: L2 ALSH, Signed ALSH (SRP), Simple LSH.
 
 Each scheme augments database and query vectors differently, then hashes.
-SRP-style schemes produce packed binary codes ranked by Hamming distance;
-L2 ALSH produces integer bucket codes ranked by matched-bucket count.
+SRP-style schemes produce packed binary codes compared by Hamming distance;
+L2 ALSH produces integer bucket codes compared by matched-bucket count.
 """
 
 from __future__ import annotations
@@ -11,16 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index import TopNResult, _rank_top_n
-
 
 @dataclass(frozen=True)
 class AlshParams:
     m: int = 3
     U0: float = 0.85
     r_lsh: float = 2.5
-    b_bits: int = 64
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -29,8 +25,6 @@ class BinaryCodeSet:
 
     packed: np.ndarray  # (n, ceil(b/8)) uint8
     b_bits: int
-    scheme: str
-    ids: np.ndarray  # (n,) int64
 
 
 def _scaled(v: np.ndarray, U0: float, max_norm: float) -> np.ndarray:
@@ -39,15 +33,25 @@ def _scaled(v: np.ndarray, U0: float, max_norm: float) -> np.ndarray:
     return U0 * v / max_norm
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """x_i . x_i of each row (of a 1-d x itself) as a column, with np.dot's bits;
+    np.einsum and np.linalg.norm(x, axis=-1) sum in another order."""
+    return np.vecdot(x, x)[..., None]
+
+
+def _append(v: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """v with tail's columns appended; a 1-d tail repeats on every row."""
+    return np.concatenate([v, np.broadcast_to(tail, v.shape[:-1] + tail.shape[-1:])], -1)
+
+
 def l2_alsh_augment(v: np.ndarray, side: str, params: AlshParams,
                     max_norm: float) -> np.ndarray:
     """Database: [x~; ||x~||^2; ...; ||x~||^(2^m)]. Query: [q; 1/2; ...; 1/2]."""
     v = np.asarray(v, dtype=np.float64)
     if side == "query":
-        return np.concatenate([v, np.full(params.m, 0.5)])
+        return _append(v, np.full(params.m, 0.5))
     x = _scaled(v, params.U0, max_norm)
-    norms = np.linalg.norm(x) ** (2.0 ** np.arange(1, params.m + 1))
-    return np.concatenate([x, norms])
+    return _append(x, np.sqrt(_sq_norms(x)) ** (2.0 ** np.arange(1, params.m + 1)))
 
 
 def signed_alsh_augment(v: np.ndarray, side: str, params: AlshParams,
@@ -55,40 +59,37 @@ def signed_alsh_augment(v: np.ndarray, side: str, params: AlshParams,
     """Database: [x~; 1/2-||x~||^2; ...; 1/2-||x~||^(2^m)]. Query: [q; 0; ...; 0]."""
     v = np.asarray(v, dtype=np.float64)
     if side == "query":
-        return np.concatenate([v, np.zeros(params.m)])
+        return _append(v, np.zeros(params.m))
     x = _scaled(v, params.U0, max_norm)
-    norms = np.linalg.norm(x) ** (2.0 ** np.arange(1, params.m + 1))
-    return np.concatenate([x, 0.5 - norms])
+    return _append(x, 0.5 - np.sqrt(_sq_norms(x)) ** (2.0 ** np.arange(1, params.m + 1)))
 
 
 def simple_lsh_augment(v: np.ndarray, side: str, max_norm: float) -> np.ndarray:
     """Database: [x~; sqrt(1-||x~||^2)] (unit norm). Query: [q/||q||; 0]."""
     v = np.asarray(v, dtype=np.float64)
     if side == "query":
-        norm = np.linalg.norm(v)
-        if norm == 0:
+        norms = np.sqrt(_sq_norms(v))
+        if (norms == 0).any():
             raise ValueError("zero query has no direction")
-        return np.concatenate([v / norm, [0.0]])
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    x = v / max_norm
-    nsq = float(np.dot(x, x))
-    return np.concatenate([x, [np.sqrt(max(1.0 - nsq, 0.0))]])
+        return _append(v / norms, np.zeros(1))
+    x = _scaled(v, 1.0, max_norm)
+    return _append(x, np.sqrt(np.maximum(1.0 - _sq_norms(x), 0.0)))
 
 
 def augment_set(data: np.ndarray, scheme: str, side: str, params: AlshParams,
                 max_norm: float) -> np.ndarray:
-    fns = {
-        "l2_alsh": lambda v: l2_alsh_augment(v, side, params, max_norm),
-        "signed_alsh": lambda v: signed_alsh_augment(v, side, params, max_norm),
-        "simple_lsh": lambda v: simple_lsh_augment(v, side, max_norm),
-    }
-    return np.vstack([fns[scheme](row) for row in np.atleast_2d(data)])
+    data = np.atleast_2d(data)
+    if scheme == "simple_lsh":
+        return simple_lsh_augment(data, side, max_norm)
+    fn = {"l2_alsh": l2_alsh_augment, "signed_alsh": signed_alsh_augment}[scheme]
+    return fn(data, side, params, max_norm)
 
 
 def l2_encode(data: np.ndarray, n_hashes: int, r_lsh: float,
               seed: int) -> np.ndarray:
     """Integer bucket codes; projections N(0,1), offsets uniform on [0, r)."""
+    if n_hashes < 1:
+        raise ValueError(f"need n_hashes >= 1; got {n_hashes}")
     data = np.atleast_2d(data)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_hashes, data.shape[1]))
@@ -96,30 +97,29 @@ def l2_encode(data: np.ndarray, n_hashes: int, r_lsh: float,
     return np.floor((data @ P.T + b) / r_lsh).astype(np.int64)
 
 
-def bucket_match_search(db_buckets: np.ndarray, q_buckets: np.ndarray,
-                        ids: np.ndarray, N: int) -> TopNResult:
-    """Rank by the number of hash buckets equal to the query's."""
-    matches = np.sum(db_buckets == q_buckets[None, :], axis=1).astype(np.float64)
-    return _rank_top_n(ids, matches, N)
+def bucket_match_search(db_buckets: np.ndarray, q_buckets: np.ndarray) -> np.ndarray:
+    """(B, n) count of hash buckets each of B queries shares with each row."""
+    out = np.zeros((len(q_buckets), len(db_buckets)))
+    for h in range(db_buckets.shape[1]):
+        out += q_buckets[:, h, None] == db_buckets[None, :, h]
+    return out
 
 
-def srp_encode(data: np.ndarray, b_bits: int, seed: int,
-               ids: np.ndarray | None = None, scheme: str = "signed_alsh") -> BinaryCodeSet:
+def srp_encode(data: np.ndarray, b_bits: int, seed: int) -> BinaryCodeSet:
     """bit i = 1 iff P_i . v >= 0 (sign(0) counts as +)."""
+    if b_bits < 1:
+        raise ValueError(f"need b_bits >= 1; got {b_bits}")
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((b_bits, data.shape[1]))
-    bits = (data @ P.T >= 0.0)
-    packed = np.packbits(bits, axis=1)
-    if ids is None:
-        ids = np.arange(data.shape[0], dtype=np.int64)
-    return BinaryCodeSet(packed=packed, b_bits=b_bits, scheme=scheme, ids=ids)
+    return BinaryCodeSet(packed=np.packbits(data @ P.T >= 0.0, axis=1), b_bits=b_bits)
 
 
-def hamming_search(codes: BinaryCodeSet, qcode: BinaryCodeSet, N: int) -> TopNResult:
-    """Ascending Hamming distance (score = -distance), ties by ascending id."""
-    if codes.b_bits != qcode.b_bits:
+def hamming_search(codes: BinaryCodeSet, qcodes: BinaryCodeSet) -> np.ndarray:
+    """(B, n) Hamming distance from each of B query codes to each of n codes."""
+    if codes.b_bits != qcodes.b_bits:
         raise ValueError("bit width mismatch")
-    xored = np.bitwise_xor(codes.packed, qcode.packed[0][None, :])
-    dists = np.bitwise_count(xored).sum(axis=1).astype(np.float64)
-    return _rank_top_n(codes.ids, -dists, N)
+    out = np.zeros((len(qcodes.packed), len(codes.packed)))
+    for byte in range(codes.packed.shape[1]):
+        out += np.bitwise_count(qcodes.packed[:, byte, None] ^ codes.packed[None, :, byte])
+    return out

@@ -424,8 +424,8 @@ def train_quip_opt(database: DenseVectorSet, example_queries: DenseVectorSet,
                    cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
     """train_quip plus, each iteration, mined inversions and the hinge term.
 
-    Takes preprocessed rows, layout.d_padded wide, as mining requires.  With
-    lam=0 or no mined constraints the numbers are train_quip's bit for bit.
+    Takes preprocessed rows, layout.d_padded wide, as mining requires.  At
+    lam=0 or J=0 it mines nothing and returns train_quip's results bit for bit.
     """
     return _train(database, example_queries, cov, cfg)
 
@@ -433,10 +433,10 @@ def train_quip_opt(database: DenseVectorSet, example_queries: DenseVectorSet,
 def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
            cov: SubspaceCovariances,
            cfg: TrainConfig) -> tuple[Codebook, CodeMatrix, list[dict]]:
-    """One loop for both trainers; queries=None mines nothing.
+    """One loop for both trainers; queries=None, lam=0 or J=0 mines nothing.
 
-    Each iteration mines (queries only), assigns, takes cell means with empty
-    cells reseeded and, given triplets and lam != 0, steps down the hinge
+    Each iteration mines (if it mines at all), assigns, takes cell means with
+    empty cells reseeded and, given triplets, steps down the hinge
     subgradient, halving the step once if the objective rose.  It stops on
     unchanged codes with no triplets, a relative decrease below
     cfg.convergence_tol, or a zero objective.
@@ -451,7 +451,8 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
     triplets: list[ConstraintTriplet] = []
     q_all = mined = blocks[:, :0]
     top1: dict[int, np.ndarray] = {}
-    if queries is not None:
+    mine = queries is not None and cfg.lam > 0 and cfg.J > 0
+    if mine:
         q_all = _blocks_of(queries.data, layout)
         # seed the code state so the first round of mining sees real assignments
         codes[:] = np.stack(_per_subspace(
@@ -460,7 +461,7 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
     prev_obj = 0.0
     for t in range(cfg.T):
         prev_codes = codes.copy()
-        if queries is not None:
+        if mine:
             triplets = find_violated_constraints(
                 Codebook(layout=layout, centroids=cents), CodeMatrix(codes=codes),
                 database, queries, layout, cfg.J, cfg.seed, top1)
@@ -477,14 +478,13 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
             *update_centroids(blocks[k], codes[:, k], cfg.C), blocks[k], codes[:, k],
             sigma[k]), K))
         # without the hinge term the update does not depend on the step
-        hinge = bool(triplets) and cfg.lam != 0.0
         cents = means
-        if hinge:
+        if triplets:
             grad = np.stack([_hinge_gradient(means[k], codes[:, k], triplets, cfg.lam,
                                              mined[k]) for k in range(K)])
             cents = means - cfg.eta(t) * grad
         obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
-        if hinge and obj > before:
+        if triplets and obj > before:
             cents = means - cfg.eta(t) / 2.0 * grad
             obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
         trace.append({"iteration": t, "phase": "update", "objective": obj,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import quips
 import quips.cli
 from quips.cli import main
 from quips.index import load_index, search_top_n
-from quips.vecstore import load_vectors
+from quips.vecstore import apply_preprocess, load_vectors
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ class TestEncodeSearch:
                                                 damage):
         db, qs = vec_files
         index = train_small(tmp_path, db)  # n=200, K=4, C=8: u8 codes
-        raw = bytearray(open(index, "rb").read())
+        raw = bytearray(Path(index).read_bytes())
         if damage == "code byte":
             raw[len(raw) - (4 + 200 * 8) - 200 * 4] = 200  # first code byte
         else:
@@ -233,6 +234,26 @@ class TestEval:
                      "--out-prefix", str(tmp_path / "rep")]) == 1
         assert f"usage error: config key {key!r} must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"data_path": "DB"}, "'data_path' and 'query_path' must be set together"),
+        ({"bits": ["a"]}, "'bits' must list ints >= 1; got ['a']"),
+        ({"bits": [0], "methods": ["simple-lsh"]}, "'bits' must list ints >= 1; got [0]"),
+        ({"fixed_time_multiplier": 0}, "'fixed_time_multiplier' must be >= 1"),
+    ])
+    def test_bad_config_value_writes_no_report(self, tmp_path, vec_files, capsys, cfg,
+                                               message):
+        small = {"n": 100, "d": 8, "n_queries": 16, "C": 4, "bits": [16], "topN": 5,
+                 "iters": 3, "methods": ["simple-lsh"], "preprocess": "identity"}
+        cfg = {k: vec_files[0] if v == "DB" else v for k, v in cfg.items()}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**small, **cfg}))
+        prefix = tmp_path / "rep"
+        assert main(["eval", "--config", str(cfg_path), "--regime", "fixed-time",
+                     "--out-prefix", str(prefix)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: config key") and message in err
+        assert not list(tmp_path.glob("rep.*"))
+
 
 class TestTheoryCheck:
     def test_passes_on_trained_index(self, tmp_path, vec_files, capsys):
@@ -244,6 +265,18 @@ class TestTheoryCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["empirical_failure_rate"] <= min(
             1.0, report["variance_bound"]) + 1e-12
+
+    def test_a_from_positive_products_and_default_epsilon(self, tmp_path, vec_files, capsys):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        capsys.readouterr()  # drop the training log line
+        assert main(["theory-check", "--index", index, "--data", db, "--queries", qs]) == 0
+        report = json.loads(capsys.readouterr().out)
+        spec = load_index(index).preprocess
+        dp, qp = (apply_preprocess(load_vectors(p, "fvecs"), spec) for p in (db, qs))
+        exact = qp.data @ dp.data.T
+        assert report["a"] == float(np.percentile(exact[exact > 0], 70.0))
+        assert report["epsilon"] == 0.2
 
     def test_violation_exit_code(self, tmp_path, vec_files, monkeypatch):
         db, qs = vec_files

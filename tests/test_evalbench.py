@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quips.index
 from quips.covariance import estimate_subspace_covariances, regularize
-from quips.evalbench import (ExperimentConfig, PRCurve, concentration_check,
-                             ground_truth, precision_recall, run_fixed_bit,
-                             run_fixed_time, split_queries, subspace_losses,
-                             unbiasedness_check, write_report)
-from quips.index import build_index
+from quips.evalbench import (LSH_METHODS, ExperimentConfig, PRCurve, concentration_check,
+                             concentration_threshold, ground_truth, lsh_rankings,
+                             precision_recall, run_fixed_bit, run_fixed_time, split_queries,
+                             subspace_losses, unbiasedness_check, write_report)
+from quips.index import build_index, exact_top_n
+from quips.lsh import AlshParams, augment_set, l2_encode, srp_encode
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import (DenseVectorSet, PreprocessSpec, generate_synthetic,
+from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, generate_synthetic,
                             make_chunk_layout)
 
 
@@ -50,6 +54,62 @@ class TestGroundTruth:
         db = make_set(np.ones((3, 2)))
         with pytest.raises(ValueError):
             ground_truth(db, make_set(np.empty((0, 2))), topN=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ids_match_per_query_exact_top_n(self, data):
+        # ground_truth's blocked GEMMs may round otherwise than exact_top_n's
+        # per-query GEMV; the ids must not move.  With small-integer entries
+        # every sum is exact, so duplicated rows tie exactly in any summation
+        # order and break the tie by ascending id.  Real-valued duplicates do
+        # not tie: both products can round identical rows differently.
+        draw = data.draw
+        d, n = draw(st.integers(1, 70), label="d"), draw(st.integers(1, 60), label="n")
+        nq = draw(st.integers(1, 25), label="nq")
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        if draw(st.booleans(), label="integer entries"):
+            distinct = rng.integers(-3, 4, (draw(st.integers(1, 30)), d))
+            rows = distinct[rng.integers(0, len(distinct), n)].astype(np.float64)
+            qrows = rng.integers(-3, 4, (nq, d)).astype(np.float64)
+        else:
+            rows, qrows = rng.standard_normal((n, d)), rng.standard_normal((nq, d))
+        db, qs = make_set(rows, ids=rng.permutation(n) * 7 - 50), make_set(qrows)
+        topN = draw(st.integers(1, n + 2), label="topN")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quips.index, "_BLOCK_SCORES", draw(st.integers(1, 8)) * n)
+            truth = ground_truth(db, qs, topN)
+        oracle = np.stack([exact_top_n(db, q, topN).ids for q in qs.data])
+        np.testing.assert_array_equal(truth, oracle)
+
+
+def lsh_ranking_oracle(method, db, qs, bits, seed):
+    """Per-query rankings from per-row hash comparisons: unpacked bits or
+    bucket equality, then a full lexsort by score and id."""
+    params, scheme = AlshParams(), method.replace("-", "_")
+    mx = float(np.max(np.linalg.norm(db.data, axis=1)))
+    d_aug, q_aug = (augment_set(vs.data, scheme, side, params, mx)
+                    for vs, side in ((db, "database"), (qs, "query")))
+    if method == "l2-alsh":
+        d_codes, q_codes = (l2_encode(a, max(bits // 8, 1), params.r_lsh, seed)
+                            for a in (d_aug, q_aug))
+        scores = [(qc == d_codes).sum(axis=1) for qc in q_codes]
+    else:
+        d_bits, q_bits = (np.unpackbits(srp_encode(a, bits, seed).packed, axis=1)[:, :bits]
+                          for a in (d_aug, q_aug))
+        scores = [-(qb != d_bits).sum(axis=1) for qb in q_bits]
+    return np.stack([db.ids[np.lexsort((db.ids, -s))] for s in scores])
+
+
+class TestLshRankings:
+    @pytest.mark.parametrize("bits", [8, 24, 72])
+    @pytest.mark.parametrize("method", LSH_METHODS)
+    def test_equals_per_query_oracle(self, method, bits, monkeypatch):
+        monkeypatch.setattr(quips.index, "_BLOCK_SCORES", 5 * 150)  # ragged last block
+        rng = np.random.default_rng(bits)
+        db = make_set(generate_synthetic(150, 6, 10.0, 0).data, ids=rng.permutation(150) + 9)
+        qs = generate_synthetic(12, 6, 10.0, 1)
+        ranked = lsh_rankings(method, db, qs, bits, seed=3)
+        np.testing.assert_array_equal(ranked, lsh_ranking_oracle(method, db, qs, bits, 3))
 
 
 class TestPrecisionRecall:
@@ -352,3 +412,10 @@ class TestConcentration:
         qs = make_set(rng.standard_normal((2, 4)))
         rep = concentration_check(index, qs, data, a=0.5, epsilon=0.2)
         json.dumps(rep.to_dict())
+
+    def test_threshold_is_percentile_of_positive_products(self):
+        q, x = np.array([[1.0], [-1.0]]), np.array([[1.0], [2.0], [3.0], [4.0]])
+        # q . x is 1..4 and -1..-4; the negative half does not count
+        assert concentration_threshold(q, x, 50.0) == 2.5
+        with pytest.raises(DataError):
+            concentration_threshold(q[:1], -x, 70.0)

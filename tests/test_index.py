@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.index import (QueryLookupTable, _rank_top_n, approximate_inner_product,
+from quips.index import (QueryLookupTable, _rank_rows, _rank_top_n, approximate_inner_product,
                          build_index, build_lookup_table, code_dtype, encode_database,
                          exact_top_n, index_to_bytes, load_index,
                          predicted_file_size, save_index, search_batch, search_top_n,
@@ -365,6 +365,32 @@ class TestRankTopN:
         res = _rank_top_n(ids, scores, 3)
         np.testing.assert_array_equal(res.ids, [8, 1, 3])
         np.testing.assert_array_equal(res.scores, [3.0, 2.0, 2.0])
+
+
+class TestRankRows:
+    """The one blocked ranking loop against a plain per-row _rank_top_n."""
+
+    @pytest.mark.parametrize("n_queries", [1, 5, 6, 7, 13])
+    def test_equals_per_row_rank_top_n(self, n_queries, monkeypatch):
+        monkeypatch.setattr(quips.index, "_BLOCK_SCORES", 6 * 50 + 5)  # 6 queries a block
+        rng = np.random.default_rng(n_queries)
+        Q = rng.standard_normal((n_queries, 4))
+        data = np.repeat(rng.integers(-3, 4, (25, 4)), 2, axis=0).astype(np.float64)  # ties
+        ids = rng.permutation(50) + 100
+        blocks = []
+
+        def scores_of(block):
+            blocks.append(block @ data.T)
+            return blocks[-1]
+
+        tops = list(_rank_rows(Q, ids, scores_of, 10))
+        assert [len(b) for b in blocks] == [6] * (n_queries // 6) + [n_queries % 6] * (
+            n_queries % 6 > 0)
+        assert len(tops) == n_queries
+        for top, scores in zip(tops, np.concatenate(blocks)):
+            want = _rank_top_n(ids, scores, 10)
+            np.testing.assert_array_equal(top.ids, want.ids)
+            assert top.scores.tobytes() == want.scores.tobytes()
 
 
 def _index_for(kind, C, n=300, d=12, K=4, seed=0):

@@ -8,6 +8,20 @@ from quips.lsh import (AlshParams, augment_set, bucket_match_search,
                        signed_alsh_augment, simple_lsh_augment, srp_encode)
 
 
+def per_row_augment(v, scheme, side, p, max_norm):
+    """One row's augmentation, its norm from np.linalg.norm and np.dot."""
+    if side == "query":
+        if scheme == "simple_lsh":
+            return np.concatenate([v / np.linalg.norm(v), [0.0]])
+        return np.concatenate([v, np.full(p.m, 0.5 if scheme == "l2_alsh" else 0.0)])
+    if scheme == "simple_lsh":
+        x = v / max_norm
+        return np.concatenate([x, [np.sqrt(max(1.0 - float(np.dot(x, x)), 0.0))]])
+    x = p.U0 * v / max_norm
+    powers = np.linalg.norm(x) ** (2.0 ** np.arange(1, p.m + 1))
+    return np.concatenate([x, powers if scheme == "l2_alsh" else 0.5 - powers])
+
+
 def l2_hash(v: np.ndarray, projection: np.ndarray, offset: float,
             r_lsh: float) -> int:
     """floor((P.v + b) / r); floor, not truncation, for negative projections."""
@@ -113,6 +127,17 @@ class TestAugmentSet:
         with pytest.raises(KeyError):
             augment_set(np.ones((1, 2)), "nope", "database", AlshParams(), 1.0)
 
+    @pytest.mark.parametrize("side", ["database", "query"])
+    @pytest.mark.parametrize("scheme", ["l2_alsh", "signed_alsh", "simple_lsh"])
+    def test_rows_equal_per_row_oracle_bit_for_bit(self, scheme, side):
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((2000, 64)) * rng.uniform(0.5, 10.0, size=(2000, 1))
+        p = AlshParams()
+        mx = float(np.linalg.norm(data, axis=1).max())
+        got = augment_set(data, scheme, side, p, mx)
+        want = np.stack([per_row_augment(v, scheme, side, p, mx) for v in data])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestL2Hash:
     def test_floor_semantics(self):
@@ -143,8 +168,10 @@ class TestL2Hash:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((50, 6))
         codes = l2_encode(data, n_hashes=8, r_lsh=2.5, seed=3)
-        res = bucket_match_search(codes, codes[7], np.arange(50), N=5)
-        assert res.ids[0] == 7 and res.scores[0] == 8
+        matches = bucket_match_search(codes, codes[[7, 3]])
+        assert matches.shape == (2, 50)
+        assert matches[0, 7] == matches[1, 3] == 8
+        np.testing.assert_array_equal(matches, (codes[[7, 3], None, :] == codes).sum(axis=2))
 
     def test_encode_deterministic(self):
         data = np.random.default_rng(5).standard_normal((10, 4))
@@ -183,26 +210,33 @@ class TestSrp:
         rng = np.random.default_rng(9)
         data = rng.standard_normal((30, 8))
         codes = srp_encode(data, b_bits=32, seed=2)
-        qc = srp_encode(rng.standard_normal((1, 8)), b_bits=32, seed=2)
-        res = hamming_search(codes, qc, N=30)
+        qc = srp_encode(rng.standard_normal((3, 8)), b_bits=32, seed=2)
+        dists = hamming_search(codes, qc)
         bits = np.unpackbits(codes.packed, axis=1)[:, :32]
-        qbits = np.unpackbits(qc.packed, axis=1)[0, :32]
-        dists = (bits != qbits[None, :]).sum(axis=1)
-        for i, s in zip(res.ids, res.scores):
-            assert -s == dists[i]
+        qbits = np.unpackbits(qc.packed, axis=1)[:, :32]
+        assert dists.shape == (3, 30)
+        for j in range(3):
+            for i in range(30):
+                assert dists[j, i] == (bits[i] != qbits[j]).sum()
 
     def test_self_distance_zero(self):
         data = np.random.default_rng(10).standard_normal((5, 4))
         codes = srp_encode(data, b_bits=64, seed=3)
         qc = srp_encode(data[2:3], b_bits=64, seed=3)
-        res = hamming_search(codes, qc, N=1)
-        assert res.ids[0] == 2 and res.scores[0] == 0
+        assert hamming_search(codes, qc)[0, 2] == 0
 
     def test_bit_width_mismatch(self):
         a = srp_encode(np.ones((2, 3)), b_bits=16, seed=0)
         b = srp_encode(np.ones((1, 3)), b_bits=24, seed=0)
         with pytest.raises(ValueError):
-            hamming_search(a, b, N=1)
+            hamming_search(a, b)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_bit_or_hash_rejected(self, count):
+        with pytest.raises(ValueError, match="b_bits"):
+            srp_encode(np.ones((2, 3)), count, seed=0)
+        with pytest.raises(ValueError, match="n_hashes"):
+            l2_encode(np.ones((2, 3)), count, r_lsh=2.5, seed=0)
 
     @given(st.integers(0, 2 ** 20 - 1))
     @settings(max_examples=30, deadline=None)

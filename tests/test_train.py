@@ -479,11 +479,11 @@ class TestTrainQuipOpt:
     def test_lambda_zero_equals_train_quip_bit_for_bit(self):
         vs, queries, cov = self._instance(14)
         cfg = TrainConfig(K=2, C=4, T=10, seed=3, lam=0.0)
-        cb_a, codes_a, _ = train_quip(vs, cov, cfg)
-        cb_b, codes_b, trace = train_quip_opt(vs, queries, cov, cfg)
-        assert any(e["n_constraints"] for e in trace), "instance mines nothing"
+        cb_a, codes_a, trace_a = train_quip(vs, cov, cfg)
+        cb_b, codes_b, trace_b = train_quip_opt(vs, queries, cov, cfg)
         assert np.array_equal(cb_a.centroids, cb_b.centroids)
         assert np.array_equal(codes_a.codes, codes_b.codes)
+        assert trace_a == trace_b
 
     def test_one_trace_format(self):
         vs, queries, cov = self._instance(15)
@@ -500,8 +500,8 @@ class TestTrainQuipOpt:
                 assert a["n_constraints"] >= 0 and u["n_constraints"] == 0
 
     def test_assignment_passes(self, monkeypatch):
-        # K passes per iteration; example queries add K seed passes before
-        # the first round of mining
+        # K passes per iteration; with J=0 nothing is mined, so example
+        # queries add no seed passes
         vs, queries, cov = self._instance(16)
         calls = []
         real = train_module.mahalanobis_assign
@@ -512,7 +512,7 @@ class TestTrainQuipOpt:
         assert len(calls) == 2 * len(trace) // 2
         calls.clear()
         trace = train_quip_opt(vs, queries, cov, cfg)[2]
-        assert len(calls) == 2 * (len(trace) // 2 + 1)
+        assert len(calls) == 2 * len(trace) // 2
 
 
 class TestTrainConfig:

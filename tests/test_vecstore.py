@@ -60,11 +60,11 @@ class TestFvecs:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         vs = generate_synthetic(50, 7, 5.0, seed=3)
-        p1, p2 = str(tmp_path / "a.fvecs"), str(tmp_path / "b.fvecs")
-        save_fvecs(vs, p1)
-        loaded = load_vectors(p1, "fvecs")
-        save_fvecs(loaded, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.fvecs", tmp_path / "b.fvecs"
+        save_fvecs(vs, str(p1))
+        loaded = load_vectors(str(p1), "fvecs")
+        save_fvecs(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestCsv:
