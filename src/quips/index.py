@@ -7,6 +7,8 @@ table of partial dot products; scoring a row is K table reads and adds.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -299,7 +301,12 @@ def search_top_n(index: QuipIndex, q: np.ndarray, N: int) -> TopNResult:
 
 
 def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
-    """Brute-force exact inner products, same ordering contract as search_top_n."""
+    """Brute-force exact inner products, same ordering contract as search_top_n.
+
+    The contract holds for the scores BLAS returns: it can round duplicated
+    real-valued rows to unequal scores (by their position in its tiles), so
+    such duplicates need not come back in ascending id order.
+    """
     if database.n == 0:
         raise ValueError("empty database")
     if N < 1:
@@ -312,10 +319,6 @@ def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
 # ---------------------------------------------------------------------------
 # persistence: magic, u16 version, then length-prefixed little-endian sections
 # (layout, preprocess, covariance, codebook f32, codes u8/u16, ids i64)
-
-
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<I", len(payload)) + payload
 
 
 def _read_section(buf: memoryview, off: int, path: str) -> tuple[memoryview, int]:
@@ -339,29 +342,34 @@ def code_dtype(C: int) -> np.dtype:
     return np.dtype("<u1" if C <= 1 << 8 else "<u2" if C <= 1 << 16 else "<u4")
 
 
-def index_to_bytes(index: QuipIndex) -> bytes:
+def _file_chunks(index: QuipIndex) -> list:
+    """The file's bytes as an ordered list of buffers, none of them a joined
+    copy; an index the format cannot hold raises before any is made."""
     if index.P != 1:
         raise ValueError(f"the index file format holds one partition; got P={index.P}")
     if index.codebook.C > _MAX_FILE_C:
         raise ValueError(f"C={index.codebook.C} exceeds the index file format's "
                          f"limit of {_MAX_FILE_C} centroids per subspace")
-    lay = index.layout
+    lay, pre, cov = index.layout, index.preprocess, index.cov
+    sections = [
+        [struct.pack("<IIII", lay.K, lay.l, lay.d_padded, lay.original_d)],
+        [struct.pack("<BqI", PreprocessSpec.KINDS.index(pre.kind), pre.seed, pre.d_padded)],
+        [struct.pack("<Bd", 0 if cov.source == "database" else 1, cov.ridge),
+         np.ascontiguousarray(cov.matrices, dtype="<f8")],
+        [np.ascontiguousarray(index.codebook.centroids, dtype="<f4")],
+        [struct.pack("<IH", index.n, index.codebook.C),
+         np.ascontiguousarray(index.codes.codes, dtype=code_dtype(index.codebook.C))],
+        [np.ascontiguousarray(index.ids, dtype="<i8")],
+    ]
     out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
-    out.append(_section(struct.pack("<IIII", lay.K, lay.l, lay.d_padded, lay.original_d)))
-    kind = PreprocessSpec.KINDS.index(index.preprocess.kind)
-    out.append(_section(struct.pack("<BqI", kind, index.preprocess.seed,
-                                    index.preprocess.d_padded)))
-    cov_payload = struct.pack("<Bd", 0 if index.cov.source == "database" else 1,
-                              index.cov.ridge)
-    cov_payload += index.cov.matrices.astype("<f8").tobytes()
-    out.append(_section(cov_payload))
-    out.append(_section(index.codebook.centroids.astype("<f4").tobytes()))
-    dt = code_dtype(index.codebook.C)
-    codes_payload = struct.pack("<IH", index.n, index.codebook.C)
-    codes_payload += index.codes.codes.astype(dt).tobytes()
-    out.append(_section(codes_payload))
-    out.append(_section(index.ids.astype("<i8").tobytes()))
-    return b"".join(out)
+    for parts in sections:
+        out.append(struct.pack("<I", sum(memoryview(p).nbytes for p in parts)))
+        out += parts
+    return out
+
+
+def index_to_bytes(index: QuipIndex) -> bytes:
+    return b"".join(_file_chunks(index))
 
 
 def predicted_file_size(n: int, K: int, l: int, C: int) -> int:
@@ -378,20 +386,53 @@ def predicted_file_size(n: int, K: int, l: int, C: int) -> int:
 
 
 def save_index(index: QuipIndex, path: str) -> None:
-    payload = index_to_bytes(index)  # an index the format cannot hold leaves no file
-    with open(path, "wb") as f:
-        f.write(payload)
+    """Write the index to a new file beside path, then rename it over path.
+
+    A reader that has path mapped keeps the old file's pages; writing over a
+    mapped file in place would truncate it under them (SIGBUS).  The new file
+    is created like a plain open(path, "wb") would create it, so the umask
+    sets its mode.  An index the format cannot hold, or any failed write,
+    leaves no file behind.
+    """
+    chunks = _file_chunks(index)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:  # name the file asked for, not the temporary one
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with open(fd, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_index(path: str) -> QuipIndex:
     """Read an index file; any malformed or inconsistent content is a DataError.
 
-    The arrays are read-only views of the file's bytes.  Copying them out
-    freed that much heap per load, which glibc returned to the system on
-    some paths; re-faulting it made such loads 4-6x slower.
+    The file is mapped read-only and parsed in place: the arrays are
+    read-only views of that map, so a load copies none of the file and
+    processes serving one file share its pages.  The map lives as long as
+    any of the index's arrays.  A file that cannot be mapped (empty, or a
+    pipe) is read into memory and parsed the same way.
+
+    save_index replaces a file by rename, and a loaded index keeps the old
+    file's pages.  Replace a file being served the same way (mv, not cp over
+    it): truncating a mapped file crashes its readers with SIGBUS.
     """
     with open(path, "rb") as f:
-        buf = f.read()
+        try:
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, a pipe
+            buf = f.read()
+    return _parse_index(buf, path)
+
+
+def _parse_index(buf, path: str) -> QuipIndex:
+    """The index in buf (bytes or a map), its arrays views of buf."""
     if buf[:4] != MAGIC or len(buf) < 6:
         raise DataError(f"{path}: not an index file")
     (version,) = struct.unpack_from("<H", buf, 4)

@@ -298,7 +298,7 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
 
     For each query, pos is the exact argmax over the database; neg is the
     database row with the highest quantized score among those that beat pos's
-    quantized score.  Quantized scores come from the index's scorer.  Queries
+    quantized score, the first such row on a tie.  Quantized scores come from the index's scorer.  Queries
     go in blocks of _MINE_QUERIES: one GEMM gives a block's exact scores and
     one stacked table scan its quantized scores, so no (|Q|, n) array is
     built; blocks stop once J inversions are found.  Both sets' rows must be
@@ -324,13 +324,13 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
             top1[lo] = np.argmax(block @ db.T, axis=1)
         best = top1[lo]
         scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
-        for j, pos, qs in zip(order[lo:hi], best, scores):
-            viol = np.flatnonzero(qs > qs[pos])
-            if viol.size:
-                neg = int(viol[np.argmax(qs[viol])])
-                out.append(ConstraintTriplet(query_id=int(j), pos_id=int(pos), neg_id=neg))
-                if len(out) >= J:
-                    break
+        # the first row at a query's quantized maximum is its strongest violator
+        # whenever that maximum beats pos's score
+        rows = np.arange(len(block))
+        neg = scores.argmax(axis=1)
+        hit = np.flatnonzero(scores[rows, neg] > scores[rows, best])[:J - len(out)]
+        out += [ConstraintTriplet(query_id=int(order[lo + i]), pos_id=int(best[i]),
+                                  neg_id=int(neg[i])) for i in hit]
     return out
 
 
@@ -400,11 +400,15 @@ def penalized_objective(cents: np.ndarray, codes: np.ndarray,
     K = len(cents)
     obj = sum(_per_subspace(lambda k: subspace_objective(
         db_blocks[k], cents[k], codes[:, k], cov.matrices[k]), K))
-    for trip in triplets:
-        margin = 0.0
-        for k in range(K):
-            diff = cents[k][codes[trip.neg_id, k]] - cents[k][codes[trip.pos_id, k]]
-            margin += float(q_blocks[k][trip.query_id] @ diff)
+    qid, pos, neg = np.array([(t.query_id, t.pos_id, t.neg_id) for t in triplets],
+                             dtype=np.intp).reshape(-1, 3).T
+    # each triplet's margin adds its K partial dot products in ascending k; a
+    # stacked (1, l) @ (l, 1) matmul gives each the bits of its own q @ diff
+    margins = np.zeros(len(triplets))
+    for k in range(K):
+        diff = cents[k][codes[neg, k]] - cents[k][codes[pos, k]]
+        margins += np.matmul(q_blocks[k][qid][:, None, :], diff[:, :, None])[:, 0, 0]
+    for margin in margins.tolist():
         obj += lam * max(margin, 0.0)
     return obj
 

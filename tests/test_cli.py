@@ -139,6 +139,27 @@ class TestEncodeSearch:
                      "--out", out]) == 0
         assert load_index(out).n == 50
 
+    def test_encode_in_place_then_search(self, tmp_path, vec_files):
+        # without --out, encode rewrites --index while its codebook is mapped;
+        # a child process, so a reader killed by SIGBUS fails only this test
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        fresh = str(tmp_path / "fresh.fvecs")
+        main(["synth", "--n", "50", "--d", "8", "--seed", "5", "--out", fresh])
+        side = str(tmp_path / "side.quip")
+        assert main(["encode", "--index", index, "--data", fresh, "--out", side]) == 0
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quips.__file__)))
+        out = subprocess.run([sys.executable, "-m", "quips.cli", "encode", "--index", index,
+                              "--data", fresh], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, (out.returncode, out.stderr)
+        assert Path(index).read_bytes() == Path(side).read_bytes()
+        for path, csv_out in ((index, "a.csv"), (side, "b.csv")):
+            assert main(["search", "--index", path, "--queries", qs, "--topn", "5",
+                         "--out", str(tmp_path / csv_out)]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".")]
+
     @pytest.mark.parametrize("damage", ["code byte", "truncated"])
     def test_search_damaged_index_is_data_error(self, tmp_path, vec_files, capsys,
                                                 damage):

@@ -1,6 +1,9 @@
+import mmap
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -534,7 +537,7 @@ class TestPersistence:
         path = str(tmp_path / "big.quip")
         with pytest.raises(ValueError, match=r"C=65536 exceeds .* limit of 65535"):
             save_index(_one_row_index(1 << 16), path)
-        assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == []
 
     def test_largest_C_in_format_roundtrips(self, tmp_path):
         path = str(tmp_path / "edge.quip")
@@ -658,3 +661,104 @@ class TestPersistence:
         raw = index_to_bytes(small)
         # one byte per (vector, subspace) when C <= 256
         assert len(raw) == predicted_file_size(10, 4, small.layout.l, 256)
+
+
+class TestMappedLoad:
+    def test_arrays_are_read_only_views_of_a_map(self, tmp_path):
+        _, index = random_index(40, 8, 4, 16, seed=18)
+        path = str(tmp_path / "i.quip")
+        save_index(index, path)
+        loaded = load_index(path)
+        for a in (loaded.codes.codes, loaded.ids, loaded.codebook.centroids,
+                  loaded.cov.matrices):
+            assert not a.flags.writeable
+            while isinstance(a, np.ndarray):
+                a = a.base
+            assert isinstance(a.obj, mmap.mmap)
+
+    def test_save_over_a_loaded_file_keeps_its_searches(self, tmp_path):
+        # in a child, so a reader killed by SIGBUS fails this test, not pytest
+        _, big = random_index(3000, 8, 4, 16, seed=19)
+        _, small = random_index(10, 8, 4, 16, seed=20)
+        path, other = str(tmp_path / "i.quip"), str(tmp_path / "small.quip")
+        save_index(big, path)
+        save_index(small, other)
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from quips.index import load_index, save_index, search_batch\n"
+            "path, other = sys.argv[1:]\n"
+            "index = load_index(path)\n"
+            "Q = np.random.default_rng(0).standard_normal((20, 8))\n"
+            "ids, scores = search_batch(index, Q, 10)\n"
+            "save_index(load_index(other), path)\n"
+            "ids2, scores2 = search_batch(index, Q, 10)\n"
+            "print(ids.tobytes() == ids2.tobytes() and scores.tobytes() == scores2.tobytes(),\n"
+            "      load_index(path).n)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quips.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, path, other], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, (out.returncode, out.stderr)
+        assert out.stdout.split() == ["True", "10"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_loads_release_their_descriptors(self, tmp_path):
+        _, index = random_index(40, 8, 4, 16, seed=21)
+        path = str(tmp_path / "i.quip")
+        save_index(index, path)
+        load_index(path)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            assert load_index(path).n == 40
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # the target is a directory: the rename fails after the write
+        _, index = random_index(40, 8, 4, 16, seed=22)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            save_index(index, str(tmp_path / "d"))
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        _, index = random_index(10, 8, 4, 16, seed=22)
+        path = str(tmp_path / "no" / "i.quip")
+        with pytest.raises(FileNotFoundError) as e:
+            save_index(index, path)
+        assert e.value.filename == path
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_a_plain_create_under_the_umask(self, tmp_path, umask):
+        _, index = random_index(10, 8, 4, 16, seed=23)
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            save_index(index, str(tmp_path / "i.quip"))
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "i.quip").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["i.quip", "plain"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_loads_like_the_file(self, tmp_path):
+        _, index = random_index(300, 8, 4, 16, seed=24)
+        path, fifo = str(tmp_path / "i.quip"), str(tmp_path / "pipe")
+        save_index(index, path)
+        os.mkfifo(fifo)
+        raw = index_to_bytes(index)
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(raw)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        piped = load_index(fifo)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert index_to_bytes(piped) == raw
+        Q = np.random.default_rng(5).standard_normal((12, 8))
+        a, b = search_batch(load_index(path), Q, 10), search_batch(piped, Q, 10)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()

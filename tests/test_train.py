@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from quips import train as train_module
-from quips.covariance import estimate_subspace_covariances, regularize
+from quips.covariance import (SubspaceCovariances, estimate_subspace_covariances,
+                              regularize)
 from quips.train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                          centroid_gradient, constrained_assign,
                          find_violated_constraints, mahalanobis_assign,
@@ -609,6 +610,42 @@ def per_query_mining(codebook, codes, database, queries, layout, J, seed):
     return out
 
 
+def viol_mining(codebook, codes, database, queries, layout, J, seed):
+    """Blocked mining with a scan per query: neg is the row at the largest
+    quantized score among those beating pos's, the first such row on a tie."""
+    from quips.index import stack_lookup_tables, table_scores
+    db, qd = database.data, queries.data
+    order = np.random.default_rng([seed, 104729]).permutation(queries.n)
+    out = []
+    for lo, hi in train_module._row_tiles(len(order), train_module._MINE_QUERIES):
+        if len(out) >= J:
+            break
+        block = qd[order[lo:hi]]
+        best = np.argmax(block @ db.T, axis=1)
+        scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
+        for j, pos, qs in zip(order[lo:hi], best, scores):
+            viol = np.flatnonzero(qs > qs[pos])
+            if viol.size:
+                neg = int(viol[np.argmax(qs[viol])])
+                out.append(ConstraintTriplet(query_id=int(j), pos_id=int(pos), neg_id=neg))
+                if len(out) >= J:
+                    break
+    return out
+
+
+def loop_penalized_objective(cents, codes, db_blocks, cov, triplets, q_blocks, lam):
+    """The penalized objective with one q @ diff per triplet and subspace."""
+    obj = sum(subspace_objective(db_blocks[k], cents[k], codes[:, k], cov.matrices[k])
+              for k in range(len(cents)))
+    for trip in triplets:
+        margin = 0.0
+        for k in range(len(cents)):
+            diff = cents[k][codes[trip.neg_id, k]] - cents[k][codes[trip.pos_id, k]]
+            margin += float(q_blocks[k][trip.query_id] @ diff)
+        obj += lam * max(margin, 0.0)
+    return obj
+
+
 def assert_bits_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
@@ -755,6 +792,49 @@ class TestTiledKernels:
         for J in sorted({0, 1, TILE - 1, TILE, len(every) - 1, len(every), 10 ** 6}):
             assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3)
                     == per_query_mining(cb, codes, vs, queries, layout, J, 3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("nq", EDGE_SIZES + [3 * TILE + 2])
+    def test_mining_matches_viol_loop_on_ties(self, nq, seed):
+        # each of the 9 code pairs is held by 4 or 5 of the 40 rows, so every
+        # quantized score, the maximum too, is shared by several rows
+        rng = np.random.default_rng([nq, seed])
+        vs = make_set(rng.standard_normal((40, 6)))
+        layout = make_chunk_layout(6, 2)
+        cb = Codebook(layout=layout, centroids=rng.standard_normal((2, 3, 3)))
+        pairs = np.array([(a, b) for a in range(3) for b in range(3)] * 5, dtype=np.int32)
+        codes = CodeMatrix(codes=rng.permutation(pairs[:40]))
+        queries = make_set(rng.standard_normal((nq, 6)))
+        every = viol_mining(cb, codes, vs, queries, layout, 10 ** 6, seed)
+        for J in sorted({0, 1, TILE, len(every) - 1, len(every), 10 ** 6} - {-1}):
+            assert (find_violated_constraints(cb, codes, vs, queries, layout, J, seed)
+                    == viol_mining(cb, codes, vs, queries, layout, J, seed))
+        from quips.index import build_lookup_table, table_scores
+        tied = [t for t in every if np.sum((s := table_scores(
+            build_lookup_table(queries.data[t.query_id], cb), codes.codes)) == s.max()) > 1]
+        assert len(tied) == len(every)
+
+    @pytest.mark.parametrize("l", [1, 3, 8, 16])
+    @pytest.mark.parametrize("J", [0, 1, 200])
+    def test_penalized_objective_matches_triplet_loop(self, l, J):
+        rng = np.random.default_rng([l, J])
+        K, C, n, nq = 3, 5, 60, 30
+        layout = make_chunk_layout(K * l, K)
+        q_blocks = _blocks_of(rng.standard_normal((nq, K * l)) * 4, layout)
+        cents = rng.standard_normal((K, C, l))
+        codes = rng.integers(0, C, (n, K)).astype(np.int32)
+        # rows on their centroids: the quantization error is 0, so the
+        # objective's bits are the hinge sum's
+        blocks = np.stack([cents[k][codes[:, k]] for k in range(K)])
+        cov = SubspaceCovariances(layout=layout, matrices=np.stack([np.eye(l)] * K),
+                                  source="database")
+        # margins of both signs, queries and rows repeated
+        trips = [ConstraintTriplet(int(rng.integers(nq)), int(rng.integers(n)),
+                                   int(rng.integers(n))) for _ in range(J)]
+        for lam in (0.0, 0.01, 1.0):
+            got = penalized_objective(cents, codes, blocks, cov, trips, q_blocks, lam)
+            want = loop_penalized_objective(cents, codes, blocks, cov, trips, q_blocks, lam)
+            assert got == want and type(got) is type(want)
 
     @pytest.mark.parametrize("nq", EDGE_SIZES)
     def test_memoized_top1_matches_per_query_loop(self, nq):
