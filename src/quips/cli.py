@@ -136,8 +136,12 @@ def _run(args) -> int:
             report = evalbench.run_fixed_bit(cfg)
         else:
             report = evalbench.run_fixed_time(cfg)
-        evalbench.write_report(report, args.out_prefix + ".csv",
-                               args.out_prefix + ".json")
+        summary = evalbench.write_report(report, args.out_prefix + ".csv",
+                                         args.out_prefix + ".json")
+        for key, entry in summary["methods"].items():
+            print(f"  {key:<18} bits={entry['bits']:<4} "
+                  f"P@R0.5={entry['precision_at_recall_0.5']:.3f}  "
+                  f"train {entry['train_s']:.2f} s  {entry['query_ms']:.2f} ms/query")
         print(f"wrote {args.out_prefix}.csv and {args.out_prefix}.json")
     elif args.command == "theory-check":
         index = load_index(args.index)
@@ -147,7 +151,10 @@ def _run(args) -> int:
         qp = apply_preprocess(qs, index.preprocess)
         a = evalbench.concentration_threshold(qp.data, dp.data, args.a_percentile)
         report = evalbench.concentration_check(index, qp, dp.data, a, args.epsilon)
-        print(json.dumps(report.to_dict(), indent=2))
+        # reported, not checked: quip-opt's gradient step moves centroids off
+        # the cell mean, and with them the estimator's unbiasedness
+        bias = evalbench.unbiasedness_check(index, qp, dp.data, samples=100_000)
+        print(json.dumps({**report.to_dict(), "unbiasedness": bias}, indent=2))
         if report.empirical_failure_rate > min(1.0, report.variance_bound) + 1e-12:
             raise InvariantViolation("empirical failure rate exceeds the variance bound")
     elif args.command == "hybrid-train":

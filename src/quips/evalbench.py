@@ -284,7 +284,8 @@ def run_fixed_time(cfg: ExperimentConfig) -> dict:
     return run_fixed_bit(cfg, lsh_multiplier=cfg.fixed_time_multiplier)
 
 
-def write_report(report: dict, csv_path: str, json_path: str) -> None:
+def write_report(report: dict, csv_path: str, json_path: str) -> dict:
+    """Write the curves as CSV and the per-method summary as JSON; return the summary."""
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "bits", "budget", "prefix", "recall", "precision"])
@@ -303,6 +304,7 @@ def write_report(report: dict, csv_path: str, json_path: str) -> None:
         }
     with open(json_path, "w") as f:
         json.dump(summary, f, indent=2)
+    return summary
 
 
 # ---------------------------------------------------------------------------

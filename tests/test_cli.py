@@ -177,6 +177,26 @@ class TestEncodeSearch:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    # n=200, K=4, l=2: the covariance's first entry is at byte 56 and the
+    # codebook's first centroid at byte 188
+    @pytest.mark.parametrize("command", ["search", "encode"])
+    @pytest.mark.parametrize("at, value, section", [(188, np.float32(np.nan), "codebook"),
+                                                    (56, np.float64(np.inf), "covariance")])
+    def test_non_finite_index_is_data_error(self, tmp_path, vec_files, capsys, command,
+                                            at, value, section):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        raw = bytearray(Path(index).read_bytes())
+        raw[at:at + value.nbytes] = value.tobytes()
+        Path(index).write_bytes(raw)
+        capsys.readouterr()  # drop the training log line
+        argv = (["search", "--queries", qs, "--out", str(tmp_path / "o.csv")]
+                if command == "search" else ["encode", "--data", db])
+        assert main(argv + ["--index", index]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{section} holds a non-finite" in err
+        assert Path(index).read_bytes() == raw and not (tmp_path / "o.csv").exists()
+
     def test_duplicate_csv_ids_are_data_error(self, tmp_path, capsys, monkeypatch):
         # the CLI reads CSV without an id column; read it with one, as a
         # library caller can, to see that the id check reaches exit code 2
@@ -220,6 +240,30 @@ class TestEval:
         with open(prefix + ".json") as f:
             summary = json.load(f)
         assert set(summary["methods"]) == {"quip-cov-x@16", "simple-lsh@16"}
+
+    def test_every_method_in_both_regimes(self, tmp_path, capsys):
+        methods = ["quip-cov-x", "quip-cov-q", "quip-opt",
+                   "simple-lsh", "signed-alsh", "l2-alsh"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 600, "d": 16, "n_queries": 60, "C": 16,
+                                        "bits": [16], "iters": 2, "methods": methods}))
+        for regime, lsh_bits in (("fixed-bit", 16), ("fixed-time", 48)):
+            prefix = str(tmp_path / regime)
+            assert main(["eval", "--config", str(cfg_path), "--regime", regime,
+                         "--out-prefix", prefix]) == 0
+            *lines, last = capsys.readouterr().out.splitlines()
+            assert last == f"wrote {prefix}.csv and {prefix}.json"
+            with open(prefix + ".json") as f:
+                summary = json.load(f)["methods"]
+            assert list(summary) == [f"{m}@16" for m in methods]
+            assert (tmp_path / f"{regime}.csv").stat().st_size > 0
+            for line, (key, entry) in zip(lines, summary.items(), strict=True):
+                assert entry["bits"] == (16 if key.startswith("quip") else lsh_bits)
+                assert line.split() == [
+                    key, f"bits={entry['bits']}",
+                    f"P@R0.5={entry['precision_at_recall_0.5']:.3f}",
+                    "train", f"{entry['train_s']:.2f}", "s",
+                    f"{entry['query_ms']:.2f}", "ms/query"]
 
     def test_bad_config_key(self, tmp_path):
         cfg_path = str(tmp_path / "cfg.json")
@@ -298,6 +342,30 @@ class TestTheoryCheck:
         exact = qp.data @ dp.data.T
         assert report["a"] == float(np.percentile(exact[exact > 0], 70.0))
         assert report["epsilon"] == 0.2
+
+    @pytest.mark.parametrize("method", ["quip-cov-x", "quip-cov-q"])
+    def test_reports_unbiasedness(self, tmp_path, vec_files, capsys, method):
+        from quips import evalbench
+        db, qs = vec_files
+        index = train_small(tmp_path, db, qs, method=method)
+        capsys.readouterr()  # drop the training log line
+        assert main(["theory-check", "--index", index, "--data", db, "--queries", qs]) == 0
+        report = json.loads(capsys.readouterr().out)
+        loaded = load_index(index)
+        dp, qp = (apply_preprocess(load_vectors(p, "fvecs"), loaded.preprocess)
+                  for p in (db, qs))
+        want = evalbench.unbiasedness_check(loaded, qp, dp.data, samples=100_000)
+        assert report["unbiasedness"] == want and isinstance(want["within_3se"], bool)
+
+    def test_unbiasedness_sets_no_exit_code(self, tmp_path, vec_files, capsys, monkeypatch):
+        import quips.evalbench as eb
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        biased = {"mean_error": 1.0, "standard_error": 0.01, "within_3se": False}
+        monkeypatch.setattr(eb, "unbiasedness_check", lambda *a, **kw: biased)
+        capsys.readouterr()  # drop the training log line
+        assert main(["theory-check", "--index", index, "--data", db, "--queries", qs]) == 0
+        assert json.loads(capsys.readouterr().out)["unbiasedness"] == biased
 
     def test_violation_exit_code(self, tmp_path, vec_files, monkeypatch):
         db, qs = vec_files

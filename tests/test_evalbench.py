@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import estimate_subspace_covariances, regularize
-from quips.evalbench import (LSH_METHODS, ExperimentConfig, PRCurve, concentration_check,
-                             concentration_threshold, ground_truth, lsh_rankings,
-                             precision_recall, run_fixed_bit, run_fixed_time, split_queries,
-                             subspace_losses, unbiasedness_check, write_report)
-from quips.index import build_index, exact_top_n
+from quips.evalbench import (LSH_METHODS, ExperimentConfig, PRCurve, build_quip_pipeline,
+                             concentration_check, concentration_threshold, ground_truth,
+                             lsh_rankings, precision_recall, prepare_training, run_fixed_bit,
+                             run_fixed_time, split_queries, subspace_losses,
+                             unbiasedness_check, write_report)
+from quips.index import build_index, exact_top_n, search_batch
 from quips.lsh import AlshParams, augment_set, l2_encode, srp_encode
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
 from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, generate_synthetic,
@@ -187,6 +189,35 @@ class TestSplitQueries:
         a, _ = split_queries(qs, 0.3, seed=2)
         b, _ = split_queries(qs, 0.3, seed=2)
         np.testing.assert_array_equal(a.ids, b.ids)
+
+
+class TestQueryCovariance:
+    """The paper's central idea: when the queries are not distributed like the
+    data, a codebook trained under their second moment (quip-cov-q) ranks
+    better than one trained under the data's (quip-cov-x) or under Sigma = I."""
+
+    @staticmethod
+    def _p_at_r50(index, db, ev):
+        ranked = search_batch(index, ev.data, index.n)[0]
+        return precision_recall(ranked, ground_truth(db, ev, 10), 10).precision_at_recall(0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cov_q_beats_cov_x_and_identity_on_anisotropic_queries(self, seed):
+        n, d, K, C = 3000, 32, 4, 16
+        rng = np.random.default_rng(seed)
+        R = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        # query variance falls off geometrically along the axes of a random rotation
+        qs = make_set((rng.standard_normal((200, d)) * np.exp(-0.25) ** np.arange(d)) @ R.T)
+        db = generate_synthetic(n, d, 10.0, seed)
+        ex, ev = split_queries(qs, 0.5, seed)
+        cfg = ExperimentConfig(seed=seed, iters=10)
+        p = {m: self._p_at_r50(build_quip_pipeline(m, db, ex, K, C, cfg), db, ev)
+             for m in ("quip-cov-x", "quip-cov-q")}
+        spec, dbp, _, cov = prepare_training("quip-cov-x", db, None, K, cfg)
+        eye = replace(cov, matrices=np.tile(np.eye(cov.layout.l), (K, 1, 1)), ridge=0.0)
+        cb, codes, _ = train_quip(dbp, eye, TrainConfig(K=K, C=C, T=cfg.iters, seed=seed))
+        p["identity"] = self._p_at_r50(build_index(dbp, cb, codes, spec, eye), db, ev)
+        assert p["quip-cov-q"] >= max(p["quip-cov-x"], p["identity"]) + 0.05, p
 
 
 class TestFixedBitReports:

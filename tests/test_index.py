@@ -15,7 +15,7 @@ import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
 from quips.index import (QueryLookupTable, _rank_rows, _rank_top_n, approximate_inner_product,
                          build_index, build_lookup_table, code_dtype, encode_database,
-                         exact_top_n, index_to_bytes, load_index,
+                         exact_top_n, load_index, _file_chunks,
                          predicted_file_size, save_index, search_batch, search_top_n,
                          stack_lookup_tables, table_scores)
 from quips.train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
@@ -30,6 +30,19 @@ def make_set(data, ids=None):
     if ids is None:
         ids = np.arange(len(data), dtype=np.int64)
     return DenseVectorSet(data=data, ids=np.asarray(ids, dtype=np.int64))
+
+
+def index_to_bytes(index):
+    """The bytes save_index writes for index."""
+    return b"".join(_file_chunks(index))
+
+
+def section_offset(raw, i):
+    """Where the payload of the file's i-th section (0 = layout) starts."""
+    off = 6
+    for _ in range(i):
+        off += 4 + int.from_bytes(raw[off:off + 4], "little")
+    return off + 4
 
 
 def random_index(n, d, K, C, seed, trained=False):
@@ -649,6 +662,21 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"code {bad} out of range"):
             load_index(str(p))
 
+    # the covariance's first 9 bytes are its source and ridge
+    @pytest.mark.parametrize("section, skip, value, message", [
+        (2, 9, np.float64(np.inf), "covariance holds a non-finite entry"),
+        (2, 9 + 8 * 7, np.float64(-np.inf), "covariance holds a non-finite entry"),
+        (3, 0, np.float32(np.nan), "codebook holds a non-finite centroid"),
+        (3, 4 * 50, np.float32(np.inf), "codebook holds a non-finite centroid"),
+    ])
+    def test_non_finite_value_is_data_error(self, tmp_path, section, skip, value, message):
+        _, raw, _, p = self._saved(tmp_path, 16)
+        at = section_offset(raw, section) + skip
+        raw[at:at + value.nbytes] = value.tobytes()
+        p.write_bytes(raw)
+        with pytest.raises(DataError, match=message):
+            load_index(str(p))
+
     def test_full_width_codes_load(self, tmp_path):
         index, raw, first_code, p = self._saved(tmp_path, 256)
         raw[first_code] = 255
@@ -762,3 +790,8 @@ class TestMappedLoad:
         Q = np.random.default_rng(5).standard_normal((12, 8))
         a, b = search_batch(load_index(path), Q, 10), search_batch(piped, Q, 10)
         assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_directory_error_names_the_path(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as e:
+            load_index(str(tmp_path))
+        assert e.value.filename == str(tmp_path)

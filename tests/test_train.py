@@ -15,7 +15,7 @@ from quips.train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                          find_violated_constraints, mahalanobis_assign,
                          penalized_objective, subspace_objective,
                          train_quip, train_quip_opt, update_centroids,
-                         _blocks_of)
+                         _blocks_of, _hinge_gradient, _init_centroids, _reseed_empty)
 from quips.vecstore import DenseVectorSet, make_chunk_layout
 
 
@@ -93,6 +93,21 @@ class TestUpdateCentroids:
             for m in members:
                 acc += m
             np.testing.assert_allclose(cents[c], acc / len(members), atol=1e-12)
+
+
+class TestReseedEmpty:
+    # cells 1 and 2 are empty.  Rows 0-4 lie 0.25, 0.25, 9, 9.25 and 0 from
+    # their centroids under Sigma = I; under diag(1, 0) row 3 lies 0.25 away,
+    # and the tie with rows 0 and 1 goes to the lowest row
+    @pytest.mark.parametrize("sigma, farthest", [(np.eye(2), [3, 2]),
+                                                 (np.diag([1.0, 0.0]), [2, 0])])
+    def test_empty_cells_take_the_farthest_members(self, sigma, farthest):
+        blocks = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
+        codes = np.array([0, 0, 3, 0, 3])
+        cents = np.array([[0.5, 0.0], [9.0, 9.0], [9.0, 9.0], [2.0, 0.0]])
+        out = _reseed_empty(cents.copy(), [1, 2], blocks, codes, sigma)
+        np.testing.assert_array_equal(out, [cents[0], blocks[farthest[0]],
+                                            blocks[farthest[1]], cents[3]])
 
 
 class TestTrainQuip:
@@ -485,6 +500,44 @@ class TestTrainQuipOpt:
         assert np.array_equal(cb_a.centroids, cb_b.centroids)
         assert np.array_equal(codes_a.codes, codes_b.codes)
         assert trace_a == trace_b
+
+    @staticmethod
+    def _first_update(vs, queries, cov, cfg):
+        """Iteration 0 of train_quip_opt rebuilt from the trainer's helpers:
+        its codes, cell means and hinge gradient, and whether the full step
+        raises the objective above the assignment's."""
+        layout, sigma, K = cov.layout, cov.matrices, cov.layout.K
+        blocks, q_all = _blocks_of(vs.data, layout), _blocks_of(queries.data, layout)
+        cents = np.stack([_init_centroids(blocks[k], cfg.C, cfg.seed, k) for k in range(K)])
+        codes = np.stack([mahalanobis_assign(blocks[k], cents[k], sigma[k])
+                          for k in range(K)], axis=1)
+        triplets = find_violated_constraints(Codebook(layout, cents), CodeMatrix(codes), vs,
+                                             queries, layout, cfg.J, cfg.seed)
+        mined = q_all[:, [t.query_id for t in triplets]]
+        codes = np.stack([constrained_assign(blocks[k], cents[k], sigma[k], triplets,
+                                             cfg.lam, mined[k]) for k in range(K)], axis=1)
+        before = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+        means = np.stack([_reseed_empty(*update_centroids(blocks[k], codes[:, k], cfg.C),
+                                        blocks[k], codes[:, k], sigma[k]) for k in range(K)])
+        grad = np.stack([_hinge_gradient(means[k], codes[:, k], triplets, cfg.lam, mined[k])
+                         for k in range(K)])
+        after = penalized_objective(means - grad, codes, blocks, cov, triplets, q_all,
+                                    cfg.lam)
+        assert triplets and grad.any(), "instance mines nothing"
+        return codes, means, grad, after > before
+
+    # at lam=0.01 the full step lowers the objective; at lam=1 it overshoots
+    # and the step is halved
+    @pytest.mark.parametrize("lam, halved", [(0.01, False), (1.0, True)])
+    def test_first_update_steps_down_the_hinge(self, lam, halved):
+        vs, queries, cov = self._instance(15)
+        cfg = TrainConfig(K=2, C=4, T=1, seed=1, lam=lam)
+        codes, means, grad, rises = self._first_update(vs, queries, cov, cfg)
+        assert rises == halved
+        cb, got, _ = train_quip_opt(vs, queries, cov, cfg)
+        np.testing.assert_array_equal(got.codes, codes)
+        eta = cfg.eta(0) / 2.0 if halved else cfg.eta(0)
+        np.testing.assert_array_equal(cb.centroids, means - eta * grad)
 
     def test_one_trace_format(self):
         vs, queries, cov = self._instance(15)
