@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

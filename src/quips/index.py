@@ -232,8 +232,7 @@ def assign_query_partitions(q: np.ndarray, centers: np.ndarray,
     if probe > centers.shape[0]:
         raise ValueError("probe exceeds partition count")
     dots = centers @ pad_to(np.asarray(q, dtype=np.float64), centers.shape[1])
-    order = np.lexsort((np.arange(centers.shape[0]), -dots))
-    return order[:probe]
+    return _rank_top_n(np.arange(centers.shape[0]), dots, probe).ids
 
 
 def _search(index: QuipIndex, Q: np.ndarray, N: int,

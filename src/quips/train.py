@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +93,6 @@ _TILE_COSTS = 1 << 15
 _MINE_QUERIES = 64
 
 
-# (executor or None, worker count), made on the first parallel call
-_POOL: tuple | None = None
-_POOL_LOCK = threading.Lock()
-_IN_WORKER = threading.local()
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -107,57 +100,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _IN_WORKER.active = True
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads; it makes its own."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _per_subspace(fn, K: int) -> list:
-    """[fn(0), ..., fn(K-1)], computed on every usable core.
+    """[fn(0), ..., fn(K-1)], computed on min(cores, K) threads.
 
-    The calling thread runs k = 0, W+1, 2(W+1), ...; a pool of W = cores - 1
-    workers, made on first use, runs the other k.  Each fn(k) must read and
-    write only subspace k's data, so the results are the serial loop's bit
-    for bit.  With one core, or when called from a pool worker (so nesting
-    cannot deadlock), it is that loop.  An error ends its thread's share of
-    the k; once every thread is done, the caller's error, else the first
-    worker's, is raised with its own type.
+    Each fn(k) must read and write only subspace k's data, so the results
+    are the serial loop's bit for bit.  With one core it is that loop on the
+    calling thread.  Otherwise the threads are made for this call and gone
+    when it returns, so nested calls and forked children need no care; the
+    lowest failing k's error is raised once every started fn(k) has returned.
     """
-    global _POOL
-    executor, workers = None, 0
-    if not getattr(_IN_WORKER, "active", False):
-        with _POOL_LOCK:
-            if _POOL is None:
-                cores = _usable_cores()
-                if cores > 1:
-                    from concurrent.futures import ThreadPoolExecutor
-                    executor = ThreadPoolExecutor(cores - 1, thread_name_prefix="quips",
-                                                  initializer=_mark_worker)
-                _POOL = (executor, cores - 1)
-            executor, workers = _POOL
-    stride = min(workers, K - 1) + 1
-    if stride == 1:
+    workers = min(_usable_cores(), K)
+    if workers <= 1:
         return [fn(k) for k in range(K)]
-    from concurrent.futures import wait
-    futures = [executor.submit(lambda i: [fn(k) for k in range(i, K, stride)], i)
-               for i in range(1, stride)]
-    out: list = [None] * K
-    try:
-        out[::stride] = [fn(k) for k in range(0, K, stride)]
-    finally:
-        wait(futures)
-    for i, future in enumerate(futures, 1):
-        out[i::stride] = future.result()
-    return out
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers, thread_name_prefix="quips") as pool:
+        return list(pool.map(fn, range(K)))
 
 
 def _assign_tile_rows(C: int) -> int:

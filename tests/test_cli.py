@@ -82,6 +82,13 @@ class TestTrain:
                      str(tmp_path / "nope.fvecs"),
                      "--out", str(tmp_path / "x.quip")]) == 2
 
+    def test_directory_as_data_is_data_error(self, tmp_path, capsys):
+        assert main(["train", "--method", "quip-cov-x", "--data", str(tmp_path),
+                     "--out", str(tmp_path / "x.quip")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not (tmp_path / "x.quip").exists()
+
     def test_bad_method_is_usage_error(self, tmp_path, vec_files):
         db, _ = vec_files
         assert main(["train", "--method", "magic", "--data", db,
@@ -225,6 +232,16 @@ class TestEncodeSearch:
         _, qs = vec_files
         assert main(["search", "--index", str(tmp_path / "no.quip"),
                      "--queries", qs, "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_search_directory_as_index_is_data_error(self, tmp_path, vec_files, capsys):
+        _, qs = vec_files
+        folder = tmp_path / "d"
+        folder.mkdir()
+        assert main(["search", "--index", str(folder), "--queries", qs,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestEval:

@@ -919,59 +919,69 @@ def _per_subspace_or_exit():
 
 
 class TestPerSubspace:
-    def test_caller_runs_every_third_k_on_a_pool_of_two(self, pooled_and_serial):
-        where = {}
+    def test_threads_live_only_for_the_call(self, pooled_and_serial):
+        def run():
+            before = threading.active_count()
+            names = train_module._per_subspace(lambda k: threading.current_thread().name, 5)
+            return names, threading.active_count() - before
 
-        def record():
-            where.clear()
-            train_module._per_subspace(
-                lambda k: where.setdefault(k, threading.current_thread()), 8)
-            return dict(where)
+        (pooled, pooled_left), (serial, serial_left) = pooled_and_serial(run)
+        assert all(name.startswith("quips") for name in pooled)
+        assert serial == [threading.current_thread().name] * 5
+        assert pooled_left == serial_left == 0
 
-        pooled, serial = pooled_and_serial(record)
-        me = threading.current_thread()
-        assert [k for k in range(8) if pooled[k] is me] == [0, 3, 6]
-        assert len({pooled[k] for k in (1, 2, 4, 5, 7)} - {me}) >= 1
-        assert all(t is me for t in serial.values())
-
-    def test_nested_call_runs_inline(self, pooled_and_serial):
+    def test_nested_call_returns_serial_results(self, pooled_and_serial):
         def outer(k):
-            here = threading.current_thread()
-            inner = train_module._per_subspace(lambda j: threading.current_thread(), 4)
-            return all(t is here for t in inner)
+            return train_module._per_subspace(lambda j: 10 * k + j, 4)
 
-        pooled, serial = pooled_and_serial(lambda: train_module._per_subspace(outer, 6))
-        # k = 0 and 3 run on the calling thread, whose inner calls use the pool
-        assert [pooled[k] for k in (1, 2, 4, 5)] == [True] * 4
-        assert serial == [True] * 6
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(pooled_and_serial(
+                lambda: train_module._per_subspace(outer, 6))), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "nested call deadlocked"
+        expected = [[10 * k + j for j in range(4)] for k in range(6)]
+        assert out == [(expected, expected)]
 
-    # the caller runs 0, 3, 6; one worker 1, 4, 7 and the other 2, 5; an
-    # error ends its thread's share
-    @pytest.mark.parametrize("bad,ran", [(1, {0, 2, 3, 5, 6}), (0, {1, 2, 4, 5, 7})])
+    # bad and 6 fail.  On threads, 6 usually fails first in time, as bad sleeps
+    # longer, and 7 is usually still running when bad fails.  The serial loop
+    # runs `ran`, then stops at bad.
+    @pytest.mark.parametrize("bad,ran", [(1, {0}), (0, set())])
     def test_error_reaches_caller_once_every_thread_is_done(self, pooled_and_serial,
                                                             bad, ran):
-        done = set()
+        lock = threading.Lock()
+        started, returned = set(), set()
 
         def fn(k):
-            if k == bad:
-                raise ValueError(f"subspace {k}")
-            time.sleep(0.01)
-            done.add(k)
+            with lock:
+                started.add(k)
+            try:
+                time.sleep({bad: 0.2, 7: 0.4}.get(k, 0.01))
+                if k in (bad, 6):
+                    raise ValueError(f"subspace {k}")
+            finally:
+                with lock:
+                    returned.add(k)
 
         def run():
-            done.clear()
-            with pytest.raises(ValueError, match=f"subspace {bad}"):
+            started.clear()
+            returned.clear()
+            with pytest.raises(ValueError, match=f"subspace {bad}$") as caught:
                 train_module._per_subspace(fn, 8)
-            return set(done)
+            assert caught.type is ValueError
+            with lock:
+                return set(started), set(returned)
 
-        pooled, serial = pooled_and_serial(run)
-        assert pooled == ran
-        assert serial == set(range(bad))
+        (pooled_started, pooled_returned), (serial_started, serial_returned) = \
+            pooled_and_serial(run)
+        assert pooled_started == pooled_returned >= ran | {bad}
+        assert serial_started == serial_returned == ran | {bad}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_makes_its_own_pool(self, pooled_and_serial):
         def fork_child():
-            # start every worker thread, then let them idle, as between calls
+            # a call on worker threads first, then a fork
             train_module._per_subspace(lambda k: time.sleep(0.05), 4)
             time.sleep(0.1)
             child = multiprocessing.get_context("fork").Process(target=_per_subspace_or_exit)
@@ -984,16 +994,9 @@ class TestPerSubspace:
 
         assert pooled_and_serial(fork_child) == (0, 0)
 
-    def test_one_core_makes_no_pool(self, monkeypatch):
-        monkeypatch.setattr(train_module, "_POOL", None)
-        monkeypatch.setattr(train_module, "_usable_cores", lambda: 1)
-        me = threading.current_thread()
-        assert train_module._per_subspace(lambda k: threading.current_thread(), 5) == [me] * 5
-        assert train_module._POOL == (None, 0)
-
 
 class TestParallelTraining:
-    """Training through the pool equals the serial loop bit for bit."""
+    """Training on worker threads equals the serial loop bit for bit."""
 
     def _instance(self):
         rng = np.random.default_rng(21)
