@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evalbench
-from .index import build_index, load_index, save_index, search_batch
+from .index import build_index, encode_database, load_index, save_index, search_batch
 from .train import TrainConfig
 from .vecstore import DataError, apply_preprocess, generate_synthetic, load_vectors, save_fvecs
 
@@ -92,6 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _load_for(index, path: str, fmt: str):
+    """The vectors in path, which must be as wide as the index's raw rows."""
+    vs = load_vectors(path, fmt)
+    if vs.d != index.layout.original_d:
+        raise DataError(f"{path}: {vs.d} dims, the index wants {index.layout.original_d}")
+    return vs
+
+
 def _run(args) -> int:
     if args.command == "synth":
         save_fvecs(generate_synthetic(args.n, args.d, args.spread, args.seed),
@@ -107,9 +115,8 @@ def _run(args) -> int:
                    args.out)
         print(f"trained {args.method}: n={db.n} K={args.k} C={args.c} -> {args.out}")
     elif args.command == "encode":
-        from .index import encode_database
         index = load_index(args.index)
-        data = load_vectors(args.data, args.format)
+        data = _load_for(index, args.data, args.format)
         dp = apply_preprocess(data, index.preprocess)
         codes = encode_database(dp, index.codebook, index.cov, index.layout)
         new = build_index(dp, index.codebook, codes, index.preprocess, index.cov)
@@ -118,10 +125,7 @@ def _run(args) -> int:
         print(f"encoded {data.n} vectors -> {out}")
     elif args.command == "search":
         index = load_index(args.index)
-        qs = load_vectors(args.queries, args.format)
-        if qs.d != index.layout.original_d:
-            raise DataError(f"{args.queries}: queries have {qs.d} dims, "
-                            f"the index wants {index.layout.original_d}")
+        qs = _load_for(index, args.queries, args.format)
         ids, scores = search_batch(index, qs.data, args.topn)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
@@ -132,11 +136,8 @@ def _run(args) -> int:
         print(f"searched {qs.n} queries -> {args.out}")
     elif args.command == "eval":
         cfg = evalbench.ExperimentConfig.from_json(args.config)
-        if args.regime == "fixed-bit":
-            report = evalbench.run_fixed_bit(cfg)
-        else:
-            report = evalbench.run_fixed_time(cfg)
-        summary = evalbench.write_report(report, args.out_prefix + ".csv",
+        run = evalbench.run_fixed_bit if args.regime == "fixed-bit" else evalbench.run_fixed_time
+        summary = evalbench.write_report(run(cfg), args.out_prefix + ".csv",
                                          args.out_prefix + ".json")
         for key, entry in summary["methods"].items():
             print(f"  {key:<18} bits={entry['bits']:<4} "
@@ -145,10 +146,10 @@ def _run(args) -> int:
         print(f"wrote {args.out_prefix}.csv and {args.out_prefix}.json")
     elif args.command == "theory-check":
         index = load_index(args.index)
-        data = load_vectors(args.data, args.format)
-        qs = load_vectors(args.queries, args.format)
-        dp = apply_preprocess(data, index.preprocess)
-        qp = apply_preprocess(qs, index.preprocess)
+        data, qs = (_load_for(index, path, args.format) for path in (args.data, args.queries))
+        if data.n != index.n:
+            raise DataError(f"{args.data}: {data.n} rows, the index holds {index.n}")
+        dp, qp = (apply_preprocess(vs, index.preprocess) for vs in (data, qs))
         a = evalbench.concentration_threshold(qp.data, dp.data, args.a_percentile)
         report = evalbench.concentration_check(index, qp, dp.data, a, args.epsilon)
         # reported, not checked: quip-opt's gradient step moves centroids off

@@ -62,10 +62,13 @@ class ExperimentConfig:
             if isinstance(val, bool) or not isinstance(val, want):
                 raise ValueError(f"config key {key!r} must be "
                                  f"{' or '.join(t.__name__ for t in want)}; got {val!r}")
-            if key in _AT_LEAST and val < _AT_LEAST[key]:
+            if key in _AT_LEAST and not val >= _AT_LEAST[key]:
                 raise ValueError(f"config key {key!r} must be >= {_AT_LEAST[key]}; "
                                  f"got {val!r}")
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
+        if not 0 <= cfg.example_query_fraction <= 1:
+            raise ValueError("config key 'example_query_fraction' must lie in [0, 1]; "
+                             f"got {cfg.example_query_fraction!r}")
         if not all(type(b) is int and b >= 1 for b in cfg.bits):
             raise ValueError(f"config key 'bits' must list ints >= 1; got {list(cfg.bits)!r}")
         if (cfg.data_path is None) != (cfg.query_path is None):
@@ -76,7 +79,7 @@ class ExperimentConfig:
 # JSON types accepted for a config key, by the type of its default
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,),
                type(None): (str, type(None))}
-_AT_LEAST = {"n": 1, "d": 1, "C": 1, "topN": 1, "iters": 1, "lam": 0,
+_AT_LEAST = {"n": 1, "d": 1, "n_queries": 1, "C": 2, "topN": 1, "iters": 1, "lam": 0,
              "fixed_time_multiplier": 1}
 
 
@@ -240,7 +243,7 @@ def _method_curve(method: str, bits: int, db: DenseVectorSet,
     """The method's precision-recall curve, its train/encode seconds and ms per query."""
     t0 = time.perf_counter()
     if method in QUIP_METHODS:
-        code_bits = int(np.log2(cfg.C))
+        code_bits = int(np.ceil(np.log2(cfg.C)))  # as QuipIndex.bits_per_vector counts
         if bits % code_bits:
             raise ValueError(f"bit budget {bits} not divisible by {code_bits} (C={cfg.C})")
         index = build_quip_pipeline(method, db, ex_q, bits // code_bits, cfg.C, cfg)
@@ -264,6 +267,8 @@ def run_fixed_bit(cfg: ExperimentConfig, lsh_multiplier: int = 1) -> dict:
     """
     db, qs = _load_or_synth(cfg)
     ex_q, ev_q = split_queries(qs, cfg.example_query_fraction, cfg.seed + 17)
+    if ev_q.n == 0:
+        raise ValueError("config key 'example_query_fraction' leaves no evaluation query")
     truth = ground_truth(db, ev_q, cfg.topN)
     report: dict = {"config": {"n": db.n, "d": db.d, "topN": cfg.topN,
                                "lsh_multiplier": lsh_multiplier},
@@ -367,18 +372,19 @@ def concentration_check(index: QuipIndex, queries: DenseVectorSet,
                         db_data: np.ndarray, a: float,
                         epsilon: float) -> TheoryCheckReport:
     """Empirical rate of large-dot-product pairs whose approximation misses the
-    relative-epsilon band, against the variance-based upper bound."""
+    relative-epsilon band, against the variance-based upper bound: a union
+    bound over the K subspaces, with Chebyshev for each at epsilon*a/K, gives
+    K^3 max_k loss_k / (n a^2 epsilon^2), where loss_k / n is subspace k's
+    mean squared error per (query, row) pair."""
     if a <= 0 or epsilon <= 0:
         raise ValueError("a and epsilon must be positive")
     layout = index.layout
     exact, approx = _pair_errors(index, queries, db_data)
-    big = exact > a
     lo, hi = exact * (1.0 - epsilon), exact * (1.0 + epsilon)
-    fails = big & ((approx < lo) | (approx > hi))
+    fails = (exact > a) & ((approx < lo) | (approx > hi))
     rate = float(fails.sum()) / exact.size
     losses = subspace_losses(index, queries, db_data)
-    n = index.n
-    bound = (layout.K ** 3) * float(losses.max()) / (n * a * a * epsilon * epsilon)
+    bound = layout.K ** 3 * float(losses.max()) / (index.n * a * a * epsilon * epsilon)
     qp = pad_to(queries.data, layout.d_padded)
     q_max = max(float(np.max(np.linalg.norm(layout.block(qp, k), axis=1)))
                 for k in range(layout.K))

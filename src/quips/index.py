@@ -58,11 +58,6 @@ class QuipIndex:
 
 
 @dataclass(frozen=True)
-class QueryLookupTable:
-    values: np.ndarray  # (K, C) float64 for one query; (K, C, B) for a stacked batch
-
-
-@dataclass(frozen=True)
 class TopNResult:
     """(id, score) pairs, descending score, ties by ascending id."""
 
@@ -166,8 +161,8 @@ def encode_database(database: DenseVectorSet, codebook: Codebook,
     return CodeMatrix(codes=codes)
 
 
-def build_lookup_table(q: np.ndarray, codebook: Codebook) -> QueryLookupTable:
-    """values[k][c] = <q^(k), U_c^(k)> for a preprocessed, padded query.
+def build_lookup_table(q: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """The (K, C) table [k][c] = <q^(k), U_c^(k)> for a preprocessed, padded query.
 
     One batched product over the K blocks; it has the same bits as a
     separate (l,) @ (l, C) product per block (tests/test_index.py holds that
@@ -180,29 +175,28 @@ def build_lookup_table(q: np.ndarray, codebook: Codebook) -> QueryLookupTable:
     if q.shape[-1] != layout.d_padded:
         raise ValueError(f"query has {q.shape[-1]} dims, layout wants {layout.d_padded}")
     cents = np.asarray(codebook.centroids, dtype=np.float64)
-    return QueryLookupTable(values=np.matmul(cents, q.reshape(layout.K, layout.l, 1))[..., 0])
+    return np.matmul(cents, q.reshape(layout.K, layout.l, 1))[..., 0]
 
 
-def stack_lookup_tables(Qp: np.ndarray, codebook: Codebook) -> QueryLookupTable:
+def stack_lookup_tables(Qp: np.ndarray, codebook: Codebook) -> np.ndarray:
     """One (K, C, B) table for B preprocessed queries, stacked from per-query
     tables: a single GEMM over the batch would round differently."""
-    return QueryLookupTable(values=np.stack(
-        [build_lookup_table(q, codebook).values for q in Qp], axis=-1))
+    return np.stack([build_lookup_table(q, codebook) for q in Qp], axis=-1)
 
 
-def approximate_inner_product(table: QueryLookupTable, code_row: np.ndarray) -> float:
-    """Sum of table entries selected by code_row, in ascending subspace order."""
-    K, C = table.values.shape
+def approximate_inner_product(table: np.ndarray, code_row: np.ndarray) -> float:
+    """Sum of (K, C) table entries selected by code_row, in ascending subspace order."""
+    K, C = table.shape
     total = 0.0
     for k in range(K):
         c = int(code_row[k])
         if not 0 <= c < C:
             raise ValueError(f"code {c} out of range [0, {C})")
-        total += table.values[k, c]
+        total += table[k, c]
     return total
 
 
-def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
+def table_scores(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Approximate scores of every code row: (n,) for a (K, C) table, (B, n)
     for a stacked (K, C, B) table.
 
@@ -210,7 +204,7 @@ def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
     subspaces in ascending order, so every score equals the scalar
     approximate_inner_product bit for bit.
     """
-    values = table.values if table.values.ndim == 3 else table.values[:, :, None]
+    values = table if table.ndim == 3 else table[:, :, None]
     K, _, B = values.shape
     n = codes.shape[0]
     out = np.empty((B, n))
@@ -223,7 +217,7 @@ def table_scores(table: QueryLookupTable, codes: np.ndarray) -> np.ndarray:
         for k in range(K):
             a += np.take(values[k], tile[:, k], axis=0)
         out[:, lo:lo + rows] = a.T
-    return out if table.values.ndim == 3 else out[0]
+    return out if table.ndim == 3 else out[0]
 
 
 def assign_query_partitions(q: np.ndarray, centers: np.ndarray,

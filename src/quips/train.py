@@ -226,11 +226,7 @@ def _reseed_empty(centroids: np.ndarray, empty: list[int], blocks: np.ndarray,
     if not empty:
         return centroids
     dist = _maha_sq(blocks, centroids, codes, sigma)
-    order = np.argsort(-dist, kind="stable")
-    taken = 0
-    for c in empty:
-        centroids[c] = blocks[order[taken]]
-        taken += 1
+    centroids[empty] = blocks[np.argsort(-dist, kind="stable")[:len(empty)]]
     return centroids
 
 
@@ -420,6 +416,16 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
             lambda k: mahalanobis_assign(blocks[k], cents[k], sigma[k]), K), axis=1)
     trace: list[dict] = []
     prev_obj = 0.0
+
+    def step(k):
+        """Subspace k's codes, reseeded cell means and, with no triplets, its
+        objective before and after the update (else penalized_objective's)."""
+        ck = constrained_assign(blocks[k], cents[k], sigma[k], triplets, cfg.lam, mined[k])
+        mk = _reseed_empty(*update_centroids(blocks[k], ck, cfg.C), blocks[k], ck, sigma[k])
+        if triplets:
+            return ck, mk, 0.0, 0.0
+        return ck, mk, *(subspace_objective(blocks[k], u, ck, sigma[k]) for u in (cents[k], mk))
+
     for t in range(cfg.T):
         prev_codes = codes.copy()
         if mine:
@@ -429,32 +435,29 @@ def _train(database: DenseVectorSet, queries: DenseVectorSet | None,
             # mined query components, aligned with the triplet list
             qids = np.array([tr.query_id for tr in triplets], dtype=np.intp)
             mined = np.take(q_all, qids, axis=1)
-        codes[:] = np.stack(_per_subspace(lambda k: constrained_assign(
-            blocks[k], cents[k], sigma[k], triplets, cfg.lam, mined[k]), K), axis=1)
-        before = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+        codes_k, means_k, before_k, after_k = zip(*_per_subspace(step, K))
+        codes[:], means = np.stack(codes_k, axis=1), np.stack(means_k)
+        # with no triplets penalized_objective is each sum: k ascending, no hinge
+        before, obj = sum(before_k), sum(after_k)
+        if triplets:
+            before = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
         trace.append({"iteration": t, "phase": "assign", "objective": before,
                       "n_constraints": len(triplets)})
-        means = np.empty_like(cents)
-        means[:] = np.stack(_per_subspace(lambda k: _reseed_empty(
-            *update_centroids(blocks[k], codes[:, k], cfg.C), blocks[k], codes[:, k],
-            sigma[k]), K))
         # without the hinge term the update does not depend on the step
         cents = means
         if triplets:
             grad = np.stack([_hinge_gradient(means[k], codes[:, k], triplets, cfg.lam,
                                              mined[k]) for k in range(K)])
             cents = means - cfg.eta(t) * grad
-        obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
+            obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
         if triplets and obj > before:
             cents = means - cfg.eta(t) / 2.0 * grad
             obj = penalized_objective(cents, codes, blocks, cov, triplets, q_all, cfg.lam)
         trace.append({"iteration": t, "phase": "update", "objective": obj,
                       "n_constraints": 0})
-        if t > 0 and not triplets and np.array_equal(codes, prev_codes):
-            break
-        if prev_obj > 0 and (prev_obj - obj) / prev_obj < cfg.convergence_tol:
-            break
-        if obj == 0.0:
+        if ((t > 0 and not triplets and np.array_equal(codes, prev_codes))
+                or (prev_obj > 0 and (prev_obj - obj) / prev_obj < cfg.convergence_tol)
+                or obj == 0.0):
             break
         prev_obj = obj
     return Codebook(layout=layout, centroids=cents), CodeMatrix(codes=codes), trace

@@ -84,10 +84,6 @@ def make_chunk_layout(d: int, K: int) -> ChunkLayout:
     return ChunkLayout(K=K, l=l, d_padded=K * l, original_d=d)
 
 
-def next_pow2(x: int) -> int:
-    return 1 << (x - 1).bit_length()
-
-
 def make_preprocess(kind: str, seed: int, layout: ChunkLayout) -> tuple[PreprocessSpec, ChunkLayout]:
     """Build a preprocess spec for a layout.
 
@@ -96,7 +92,7 @@ def make_preprocess(kind: str, seed: int, layout: ChunkLayout) -> tuple[Preproce
     """
     d_padded = layout.d_padded
     if kind == "hadamard_rotation":
-        d_padded = next_pow2(d_padded)
+        d_padded = 1 << (d_padded - 1).bit_length()  # the next power of 2
         l = -(-d_padded // layout.K)
         layout = ChunkLayout(K=layout.K, l=l, d_padded=layout.K * l,
                              original_d=layout.original_d)

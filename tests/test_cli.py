@@ -307,7 +307,8 @@ class TestEval:
         assert err.startswith("usage error: ") and message in err
 
     @pytest.mark.parametrize("key, value", [
-        ("n", 0), ("d", -1), ("C", 0), ("topN", 0), ("iters", 0), ("lam", -0.5)])
+        ("n", 0), ("d", -1), ("n_queries", 0), ("C", 0), ("C", 1), ("topN", 0), ("iters", 0),
+        ("lam", -0.5)])
     def test_config_out_of_range_is_usage_error(self, tmp_path, capsys, key, value):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as f:
@@ -321,6 +322,10 @@ class TestEval:
         ({"bits": ["a"]}, "'bits' must list ints >= 1; got ['a']"),
         ({"bits": [0], "methods": ["simple-lsh"]}, "'bits' must list ints >= 1; got [0]"),
         ({"fixed_time_multiplier": 0}, "'fixed_time_multiplier' must be >= 1"),
+        ({"example_query_fraction": -0.5},
+         "'example_query_fraction' must lie in [0, 1]; got -0.5"),
+        ({"example_query_fraction": 1.5}, "'example_query_fraction' must lie in [0, 1]; got 1.5"),
+        ({"example_query_fraction": 1.0}, "'example_query_fraction' leaves no evaluation query"),
     ])
     def test_bad_config_value_writes_no_report(self, tmp_path, vec_files, capsys, cfg,
                                                message):
@@ -335,6 +340,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("usage error: config key") and message in err
         assert not list(tmp_path.glob("rep.*"))
+
+    def test_reported_bits_are_the_index_bits(self, tmp_path, monkeypatch):
+        # C=3 codes take 2 bits each, so a 16-bit budget buys K=8 subspaces
+        import quips.evalbench as eb
+        built = []
+        real = eb.build_quip_pipeline
+        monkeypatch.setattr(eb, "build_quip_pipeline",
+                            lambda *a: built.append(real(*a)) or built[-1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 100, "d": 16, "n_queries": 16, "C": 3,
+                                        "bits": [16], "iters": 2,
+                                        "methods": ["quip-cov-x"]}))
+        prefix = str(tmp_path / "rep")
+        assert main(["eval", "--config", str(cfg_path), "--out-prefix", prefix]) == 0
+        with open(prefix + ".json") as f:
+            bits = json.load(f)["methods"]["quip-cov-x@16"]["bits"]
+        assert [index.bits_per_vector for index in built] == [bits] == [16]
 
 
 class TestTheoryCheck:
@@ -399,6 +421,41 @@ class TestTheoryCheck:
         monkeypatch.setattr(eb, "concentration_check", sabotage)
         assert main(["theory-check", "--index", index, "--data", db,
                      "--queries", qs]) == 3
+
+    @pytest.fixture
+    def wide_index(self, tmp_path):
+        """A 16-wide index over 600 rows."""
+        db = str(tmp_path / "db.fvecs")
+        assert main(["synth", "--n", "600", "--d", "16", "--out", db]) == 0
+        return train_small(tmp_path, db), db
+
+    @pytest.mark.parametrize("n, d, what, message", [
+        (60, 16, "data", "60 rows, the index holds 600"),
+        (600, 8, "data", "8 dims, the index wants 16"),
+        (20, 8, "queries", "8 dims, the index wants 16"),
+    ])
+    def test_inputs_must_match_the_index(self, tmp_path, capsys, wide_index, n, d, what,
+                                         message):
+        index, db = wide_index
+        other = str(tmp_path / "other.fvecs")
+        assert main(["synth", "--n", str(n), "--d", str(d), "--seed", "1",
+                     "--out", other]) == 0
+        files = {"data": db, "queries": db, what: other}
+        capsys.readouterr()
+        assert main(["theory-check", "--index", index, "--data", files["data"],
+                     "--queries", files["queries"]]) == 2
+        assert capsys.readouterr().err == f"data error: {other}: {message}\n"
+
+    def test_encode_rejects_data_of_another_width(self, tmp_path, capsys, wide_index):
+        index, _ = wide_index
+        narrow = str(tmp_path / "narrow.fvecs")
+        assert main(["synth", "--n", "600", "--d", "8", "--out", narrow]) == 0
+        before = Path(index).read_bytes()
+        capsys.readouterr()
+        assert main(["encode", "--index", index, "--data", narrow]) == 2
+        assert capsys.readouterr().err == (f"data error: {narrow}: 8 dims, "
+                                           "the index wants 16\n")
+        assert Path(index).read_bytes() == before
 
 
 class TestHybridTrain:

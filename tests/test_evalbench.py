@@ -426,6 +426,30 @@ class TestConcentration:
         assert rep.empirical_failure_rate <= min(1.0, rep.variance_bound) + 1e-12
         assert rep.q_max > 0
 
+    def test_hand_computed_rate_and_bound(self):
+        # K=2 subspaces of width 1, C=2; one query q = (1, 1).  Row codes
+        # pick centroids {1, 3} in subspace 0 and {2, 4} in subspace 1:
+        #   x        u       q.x  q.u  residuals (r0, r1)
+        #   (2, 2)   (3, 2)  4    5    (-1, 0)  above the band [3.5, 4.5]
+        #   (1, 3)   (1, 2)  4    3    (0, 1)   below it
+        #   (3, 4)   (3, 4)  7    7    (0, 0)   inside [6.125, 7.875]
+        #   (1, 1)   (1, 2)  2    3    (0, -1)  q.x = a is not large
+        data = np.array([[2.0, 2.0], [1.0, 3.0], [3.0, 4.0], [1.0, 1.0]])
+        layout = make_chunk_layout(2, 2)
+        cb = Codebook(layout=layout, centroids=np.array([[[1.0], [3.0]], [[2.0], [4.0]]]))
+        codes = CodeMatrix(codes=np.array([[1, 0], [0, 0], [1, 1], [0, 0]], dtype=np.int32))
+        cov = regularize(estimate_subspace_covariances(make_set(data), layout), 1e-6)
+        spec = PreprocessSpec(kind="identity", seed=0, d_padded=2)
+        index = build_index(make_set(data), cb, codes, spec, cov)
+        rep = concentration_check(index, make_set([[1.0, 1.0]]), data, a=2.0, epsilon=0.125)
+        # one pair fails on each side of the band, of 4 pairs
+        assert rep.empirical_failure_rate == 0.5
+        # loss_k = sum of (q_k r_k)^2 over rows: 1 and 2.  Union bound with
+        # Chebyshev at eps*a/K: K^3 max loss / (n a^2 eps^2) = 8 * 2 / (4 * 4 / 64)
+        np.testing.assert_array_equal(rep.subspace_losses, [1.0, 2.0])
+        assert rep.variance_bound == 64.0
+        assert rep.q_max == 1.0 and rep.delta == 1.0
+
     def test_invalid_parameters(self):
         rng = np.random.default_rng(19)
         data = rng.standard_normal((10, 4))

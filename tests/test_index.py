@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.index import (QueryLookupTable, _rank_rows, _rank_top_n, approximate_inner_product,
-                         build_index, build_lookup_table, code_dtype, encode_database,
+from quips.index import (_rank_rows, _rank_top_n, approximate_inner_product, build_index,
+                         build_lookup_table, code_dtype, encode_database,
                          exact_top_n, load_index, _file_chunks,
                          predicted_file_size, save_index, search_batch, search_top_n,
                          stack_lookup_tables, table_scores)
@@ -201,14 +201,14 @@ class TestLookupTable:
     def test_zero_query(self):
         _, index = random_index(5, 4, 2, 3, seed=3)
         t = build_lookup_table(np.zeros(4), index.codebook)
-        np.testing.assert_array_equal(t.values, 0.0)
+        np.testing.assert_array_equal(t, 0.0)
 
     def test_hand_case(self):
         layout = make_chunk_layout(2, 1)
         cb = Codebook(layout=layout,
                       centroids=np.array([[[3.0, 4.0], [0.0, 7.0]]]))
         t = build_lookup_table(np.array([1.0, 0.0]), cb)
-        np.testing.assert_array_equal(t.values, [[3.0, 0.0]])
+        np.testing.assert_array_equal(t, [[3.0, 0.0]])
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -220,7 +220,7 @@ class TestLookupTable:
                 acc = 0.0
                 for i in range(2):
                     acc += q[k * 2 + i] * float(index.codebook.centroids[k, c, i])
-                assert t.values[k, c] == pytest.approx(acc, abs=1e-6)
+                assert t[k, c] == pytest.approx(acc, abs=1e-6)
 
 
 def lookup_table_oracle(q, codebook):
@@ -262,7 +262,7 @@ class TestBatchedLookupTable:
         q[rng.random(K * l) < 0.1] = -0.0
         for k in data.draw(st.sets(st.integers(0, K - 1)), label="zero blocks"):
             q[k * l:(k + 1) * l] = 0.0
-        got = build_lookup_table(q, cb).values
+        got = build_lookup_table(q, cb)
         assert got.shape == (K, C)
         assert got.tobytes() == lookup_table_oracle(q, cb).tobytes()
 
@@ -276,26 +276,23 @@ class TestBatchedLookupTable:
                       centroids=rng.standard_normal((K, C, layout.l)).astype(np.float32))
         Qp = apply_preprocess_rows(rng.standard_normal((5, d)), spec)
         for q in Qp:
-            got = build_lookup_table(q, cb).values
-            assert got.tobytes() == build_lookup_table(q.copy(), cb).values.tobytes()
+            got = build_lookup_table(q, cb)
+            assert got.tobytes() == build_lookup_table(q.copy(), cb).tobytes()
 
 
 class TestApproximateInnerProduct:
     def test_zero_table(self):
-        t = QueryLookupTable(values=np.zeros((3, 4)))
-        assert approximate_inner_product(t, np.zeros(3, dtype=int)) == 0.0
+        assert approximate_inner_product(np.zeros((3, 4)), np.zeros(3, dtype=int)) == 0.0
 
     def test_two_term_sum(self):
         vals = np.zeros((2, 4))
         vals[0, 1] = 1.5
         vals[1, 2] = -0.5
-        t = QueryLookupTable(values=vals)
-        assert approximate_inner_product(t, np.array([1, 2])) == 1.0
+        assert approximate_inner_product(vals, np.array([1, 2])) == 1.0
 
     def test_out_of_range(self):
-        t = QueryLookupTable(values=np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            approximate_inner_product(t, np.array([0, 4]))
+            approximate_inner_product(np.zeros((2, 4)), np.array([0, 4]))
 
     def test_bit_identical_to_table_scores(self):
         rng = np.random.default_rng(5)

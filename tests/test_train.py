@@ -159,6 +159,23 @@ class TestTrainQuip:
             for a, b in zip(objs, objs[1:]):
                 assert b <= a * (1 + 1e-9) + 1e-15
 
+    def test_first_iteration_objectives(self):
+        """The assign entry scores the new codes against the old centroids and
+        the update entry against the reseeded cell means, each a sum over the
+        subspaces in ascending k."""
+        data = np.random.default_rng(30).standard_normal((80, 6))
+        vs, cov = database_cov(data, K=3, ridge=1e-6)
+        cfg = TrainConfig(K=3, C=5, T=1, seed=2)
+        blocks, sigma = _blocks_of(data, cov.layout), cov.matrices
+        cents = [_init_centroids(blocks[k], cfg.C, cfg.seed, k) for k in range(3)]
+        codes = [mahalanobis_assign(blocks[k], cents[k], sigma[k]) for k in range(3)]
+        means = [_reseed_empty(*update_centroids(blocks[k], codes[k], cfg.C), blocks[k],
+                               codes[k], sigma[k]) for k in range(3)]
+        want = [sum(subspace_objective(blocks[k], u[k], codes[k], sigma[k]) for k in range(3))
+                for u in (cents, means)]
+        assert want[0] > want[1]
+        assert [e["objective"] for e in train_quip(vs, cov, cfg)[2]] == want
+
     def test_deterministic(self):
         data = np.random.default_rng(6).standard_normal((50, 6))
         vs, cov = database_cov(data, K=3)
@@ -567,6 +584,25 @@ class TestTrainQuipOpt:
         calls.clear()
         trace = train_quip_opt(vs, queries, cov, cfg)[2]
         assert len(calls) == 2 * len(trace) // 2
+
+
+    # one _per_subspace call per Lloyd iteration; given triplets, the seed
+    # assignment and each penalized objective take one more
+    @pytest.mark.parametrize("lam, halved", [(0.01, False), (1.0, True)])
+    def test_fan_outs_per_iteration(self, monkeypatch, lam, halved):
+        vs, queries, cov = self._instance(15)
+        calls = []
+        real = train_module._per_subspace
+        monkeypatch.setattr(train_module, "_per_subspace",
+                            lambda fn, K: calls.append(K) or real(fn, K))
+        trace = train_quip(vs, cov, TrainConfig(K=2, C=4, T=8, seed=1))[2]
+        assert len(calls) == len(trace) // 2 >= 3
+        calls.clear()
+        cfg = TrainConfig(K=2, C=4, T=1, seed=1, lam=lam)
+        assert self._first_update(vs, queries, cov, cfg)[3] == halved
+        calls.clear()
+        train_quip_opt(vs, queries, cov, cfg)
+        assert len(calls) == 1 + 3 + halved
 
 
 class TestTrainConfig:
