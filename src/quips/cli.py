@@ -101,6 +101,9 @@ def _load_for(index, path: str, fmt: str):
 
 
 def _run(args) -> int:
+    # numpy's generators take non-negative seeds only
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"need --seed >= 0; got --seed {args.seed}")
     if args.command == "synth":
         save_fvecs(generate_synthetic(args.n, args.d, args.spread, args.seed),
                    args.out)
@@ -174,7 +177,8 @@ def _run(args) -> int:
         # the CLI loads ids as row numbers, so the ids are each partition's rows;
         # savez given a path would append ".npz" to it, given a file it does not
         with open(args.out, "wb") as f:
-            np.savez(f, centers=pindex.centers, members=pindex.ids, offsets=pindex.offsets)
+            np.savez(f, centers=pindex.centers, members=pindex.ids.astype(np.int64),
+                     offsets=pindex.offsets)
         if args.queries:
             qs = load_vectors(args.queries, args.format)
             res, scanned = hybrid_search(pindex, qs.data[0], args.topn, args.probe)

@@ -80,7 +80,7 @@ class ExperimentConfig:
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (list,),
                type(None): (str, type(None))}
 _AT_LEAST = {"n": 1, "d": 1, "n_queries": 1, "C": 2, "topN": 1, "iters": 1, "lam": 0,
-             "fixed_time_multiplier": 1}
+             "fixed_time_multiplier": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -269,6 +269,11 @@ def run_fixed_bit(cfg: ExperimentConfig, lsh_multiplier: int = 1) -> dict:
     ex_q, ev_q = split_queries(qs, cfg.example_query_fraction, cfg.seed + 17)
     if ev_q.n == 0:
         raise ValueError("config key 'example_query_fraction' leaves no evaluation query")
+    needy = [m for m in cfg.methods if m in ("quip-cov-q", "quip-opt")]
+    if ex_q.n == 0 and needy:
+        raise ValueError("config keys 'example_query_fraction' and 'n_queries' leave no "
+                         f"example query, which {needy[0]} needs "
+                         f"({cfg.example_query_fraction} x {qs.n} queries rounds to 0)")
     truth = ground_truth(db, ev_q, cfg.topN)
     report: dict = {"config": {"n": db.n, "d": db.d, "topN": cfg.topN,
                                "lsh_multiplier": lsh_multiplier},

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _search,
-                    encode_database)
+from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _narrow_ids,
+                    _search, encode_database)
 # Bound here too so that quipsbench's tracer, which looks functions up by
 # layer, finds them in this namespace: assign_query_partitions is timed as
 # the hybrid layer's partition choice, and search_top_n is checked by its
@@ -24,18 +24,37 @@ from .vecstore import DenseVectorSet, PreprocessSpec
 
 
 def _kmeanspp_init(data: np.ndarray, P: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted seeding; far better local minima than uniform sampling."""
-    n = data.shape[0]
-    centers = np.empty((P, data.shape[1]))
+    """D^2-weighted seeding; far better local minima than uniform sampling.
+
+    Each center's squared distances are added column by column into reused
+    length-n buffers, so no (n, d) temporary exists.  The columns are those of
+    one Fortran-ordered view of the rows, which is no copy for the rows that
+    permutation preprocessing gives.  There the distances have the bits of
+    np.sum((data - c) ** 2, axis=1); on C-ordered rows they may differ from it
+    in the last bit.
+    """
+    n, d = data.shape
+    cols = np.asfortranarray(data)
+    centers = np.empty((P, d))
+    d2, dist, diff = np.empty(n), np.empty(n), np.empty(n)
+
+    def sq_dist(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        for j in range(d):
+            np.subtract(cols[:, j], c[j], out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
+        return out
+
     centers[0] = data[rng.integers(n)]
-    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    sq_dist(centers[0], d2)
     for p in range(1, P):
         total = d2.sum()
         if total <= 0:
             centers[p] = data[rng.integers(n)]
             continue
         centers[p] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((data - centers[p]) ** 2, axis=1))
+        np.minimum(d2, sq_dist(centers[p], dist), out=d2)
     return centers
 
 
@@ -96,7 +115,8 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
     The codebook is shared_codebook, frozen to float32, or else one
     train_quip run over the whole database.  The codes are shared_codes, or
     that run's codes, or else encode_database's against shared_codebook;
-    they are gathered into partition order in one fancy index.
+    they are gathered into partition order in one fancy index.  Codes are
+    held as code_dtype(C) and ids as id_dtype(ids), as in build_index.
     """
     if shared_codes is not None and shared_codebook is None:
         raise ValueError("shared_codes requires shared_codebook")
@@ -111,7 +131,8 @@ def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
     codes = _narrow_codes(shared_codes.codes[rows], codebook.C)
     return QuipIndex(codebook=codebook, codes=CodeMatrix(codes=codes),
                      preprocess=preprocess, layout=codebook.layout,
-                     ids=database.ids[rows], cov=cov, offsets=offsets, centers=centers)
+                     ids=_narrow_ids(database.ids[rows]), cov=cov, offsets=offsets,
+                     centers=centers)
 
 
 def hybrid_search(pindex: QuipIndex, q: np.ndarray, N: int,

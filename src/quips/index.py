@@ -22,8 +22,9 @@ from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
                        apply_preprocess_rows, pad_to)
 
 MAGIC = b"QUIP"
-FORMAT_VERSION = 1
-_MAX_FILE_C = 0xFFFF  # the codes section stores C as a u16
+FORMAT_VERSION = 2
+_ALIGN = 8  # every section payload starts at a file offset that is a multiple of this
+_ID_DTYPES = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}  # by width in bytes
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class QuipIndex:
     codes: CodeMatrix
     preprocess: PreprocessSpec
     layout: ChunkLayout
-    ids: np.ndarray  # (n,) int64
+    ids: np.ndarray  # (n,) id_dtype(ids)
     cov: SubspaceCovariances
     offsets: np.ndarray  # (P+1,) int64
     centers: np.ndarray  # (P, d_padded) float64, in preprocessed space
@@ -109,11 +110,11 @@ def build_index(database: DenseVectorSet, codebook: Codebook, codes: CodeMatrix,
 
     Centroids are cast to float32 up front so in-memory and reloaded indexes
     score bit-identically; a codebook that is float32 already is shared, not
-    copied.  Codes are held as code_dtype(C).
+    copied.  Codes are held as code_dtype(C), ids as id_dtype(ids).
     """
     cb = _float32_codebook(codebook)
     return _flat_index(cb, CodeMatrix(codes=_narrow_codes(codes.codes, cb.C)), preprocess,
-                       codebook.layout, database.ids.copy(), cov)
+                       codebook.layout, _narrow_ids(database.ids), cov)
 
 
 def _flat_index(codebook: Codebook, codes: CodeMatrix, preprocess: PreprocessSpec,
@@ -136,6 +137,11 @@ def _narrow_codes(codes: np.ndarray, C: int) -> np.ndarray:
     if codes.size and (codes.min() < 0 or codes.max() >= C):
         raise ValueError(f"codes must lie in [0, {C})")
     return codes.astype(code_dtype(C))
+
+
+def _narrow_ids(ids: np.ndarray) -> np.ndarray:
+    """A copy of ids as id_dtype(ids)."""
+    return ids.astype(id_dtype(ids))
 
 
 def encode_database(database: DenseVectorSet, codebook: Codebook,
@@ -310,19 +316,28 @@ def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
 
 
 # ---------------------------------------------------------------------------
-# persistence: magic, u16 version, then length-prefixed little-endian sections
-# (layout, preprocess, covariance, codebook f32, codes u8/u16, ids i64)
+# persistence: magic, u16 version and 2 zero bytes, then six sections, each a
+# u64 payload length, the payload and zero padding to a multiple of 8 bytes, so
+# every payload, and every array in it, starts 8-byte aligned:
+#   layout      u32 K, l, d_padded, original_d
+#   preprocess  u8 kind, i64 seed, u32 d_padded
+#   covariance  u8 source, 7 zero bytes, f64 ridge, f64 (K, l, l)
+#   codebook    f32 (K, C, l)
+#   codes       u32 n, u32 C, (n, K) codes as code_dtype(C)
+#   ids         u8 width, 7 zero bytes, (n,) ids as little-endian signed ints of that width
 
 
 def _read_section(buf: memoryview, off: int, path: str) -> tuple[memoryview, int]:
-    if off + 4 > len(buf):
+    if off + 8 > len(buf):
         raise DataError(f"{path}: truncated: no section header at byte {off}")
-    (length,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if off + length > len(buf):
-        raise DataError(f"{path}: truncated: section at byte {off - 4} declares "
-                        f"{length} bytes, {len(buf) - off} remain")
-    return buf[off : off + length], off + length
+    (length,) = struct.unpack_from("<Q", buf, off)
+    start = off + 8
+    end = start + length + -length % _ALIGN
+    if end > len(buf):
+        raise DataError(f"{path}: truncated: section at byte {off} declares "
+                        f"{length} bytes and {end - start - length} of padding, "
+                        f"{len(buf) - start} remain")
+    return buf[start : start + length], end
 
 
 def _check_size(path: str, name: str, payload: bytes, size: int) -> None:
@@ -331,8 +346,21 @@ def _check_size(path: str, name: str, payload: bytes, size: int) -> None:
                         f"its header implies {size}")
 
 
+def _check_header(path: str, name: str, payload: bytes, size: int) -> None:
+    if len(payload) < size:
+        raise DataError(f"{path}: {name} section holds {len(payload)} bytes, "
+                        f"shorter than its {size}-byte header")
+
+
 def code_dtype(C: int) -> np.dtype:
     return np.dtype("<u1" if C <= 1 << 8 else "<u2" if C <= 1 << 16 else "<u4")
+
+
+def id_dtype(ids: np.ndarray) -> np.dtype:
+    """The narrowest little-endian signed type that holds every id; <i1 for none."""
+    lo, hi = (int(ids.min()), int(ids.max())) if len(ids) else (0, 0)
+    return next(t for t in _ID_DTYPES.values()
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
 def _file_chunks(index: QuipIndex) -> list:
@@ -340,38 +368,37 @@ def _file_chunks(index: QuipIndex) -> list:
     copy; an index the format cannot hold raises before any is made."""
     if index.P != 1:
         raise ValueError(f"the index file format holds one partition; got P={index.P}")
-    if index.codebook.C > _MAX_FILE_C:
-        raise ValueError(f"C={index.codebook.C} exceeds the index file format's "
-                         f"limit of {_MAX_FILE_C} centroids per subspace")
-    lay, pre, cov = index.layout, index.preprocess, index.cov
+    lay, pre, cov, C = index.layout, index.preprocess, index.cov, index.codebook.C
+    ids = np.ascontiguousarray(index.ids, dtype=id_dtype(index.ids))
     sections = [
         [struct.pack("<IIII", lay.K, lay.l, lay.d_padded, lay.original_d)],
         [struct.pack("<BqI", PreprocessSpec.KINDS.index(pre.kind), pre.seed, pre.d_padded)],
-        [struct.pack("<Bd", 0 if cov.source == "database" else 1, cov.ridge),
+        [struct.pack("<B7xd", 0 if cov.source == "database" else 1, cov.ridge),
          np.ascontiguousarray(cov.matrices, dtype="<f8")],
         [np.ascontiguousarray(index.codebook.centroids, dtype="<f4")],
-        [struct.pack("<IH", index.n, index.codebook.C),
-         np.ascontiguousarray(index.codes.codes, dtype=code_dtype(index.codebook.C))],
-        [np.ascontiguousarray(index.ids, dtype="<i8")],
+        [struct.pack("<II", index.n, C),
+         np.ascontiguousarray(index.codes.codes, dtype=code_dtype(C))],
+        [struct.pack("<B7x", ids.itemsize), ids],
     ]
-    out = [MAGIC, struct.pack("<H", FORMAT_VERSION)]
+    out = [MAGIC, struct.pack("<H2x", FORMAT_VERSION)]
     for parts in sections:
-        out.append(struct.pack("<I", sum(memoryview(p).nbytes for p in parts)))
-        out += parts
+        length = sum(memoryview(p).nbytes for p in parts)
+        out += [struct.pack("<Q", length), *parts, bytes(-length % _ALIGN)]
     return out
 
 
-def predicted_file_size(n: int, K: int, l: int, C: int) -> int:
-    """Byte count implied by the documented layout, for the size invariant."""
-    header = 4 + 2
-    sec = 4  # length prefix
-    layout_sec = sec + 16
-    preprocess_sec = sec + 13
-    cov_sec = sec + 9 + K * l * l * 8
-    codebook_sec = sec + K * C * l * 4
-    codes_sec = sec + 6 + n * K * code_dtype(C).itemsize
-    ids_sec = sec + n * 8
-    return header + layout_sec + preprocess_sec + cov_sec + codebook_sec + codes_sec + ids_sec
+def predicted_file_size(n: int, K: int, l: int, C: int,
+                        id_range: tuple[int, int] | None = None) -> int:
+    """Byte count implied by the documented layout, for the size invariant.
+
+    The ids are 0..n-1, as every loader assigns them, unless id_range gives
+    their (min, max).
+    """
+    lo, hi = id_range if id_range is not None else (0, max(n - 1, 0))
+    payloads = [16, 13, 16 + K * l * l * 8, K * C * l * 4,
+                8 + n * K * code_dtype(C).itemsize,
+                8 + n * id_dtype(np.array([lo, hi])).itemsize]
+    return 8 + sum(8 + p + -p % _ALIGN for p in payloads)
 
 
 def save_index(index: QuipIndex, path: str) -> None:
@@ -430,12 +457,13 @@ def load_index(path: str) -> QuipIndex:
 
 def _parse_index(buf, path: str) -> QuipIndex:
     """The index in buf (bytes or a map), its arrays views of buf."""
-    if buf[:4] != MAGIC or len(buf) < 6:
+    if buf[:4] != MAGIC or len(buf) < 8:
         raise DataError(f"{path}: not an index file")
     (version,) = struct.unpack_from("<H", buf, 4)
     if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
-    view, sections, off = memoryview(buf), [], 6  # sections are views, not copies
+        raise DataError(f"{path}: index format version {version}; this reader takes "
+                        f"version {FORMAT_VERSION} only")
+    view, sections, off = memoryview(buf), [], 8  # sections are views, not copies
     for _ in range(6):
         payload, off = _read_section(view, off, path)
         sections.append(payload)
@@ -453,29 +481,31 @@ def _parse_index(buf, path: str) -> QuipIndex:
     if kind >= len(PreprocessSpec.KINDS):
         raise DataError(f"{path}: unknown preprocess kind {kind}")
     preprocess = PreprocessSpec(kind=PreprocessSpec.KINDS[kind], seed=seed, d_padded=pre_d)
-    _check_size(path, "covariance", cov_p, 9 + K * l * l * 8)
-    src, ridge = struct.unpack_from("<Bd", cov_p)
-    mats = np.frombuffer(cov_p[9:], dtype="<f8").reshape(K, l, l)
+    _check_size(path, "covariance", cov_p, 16 + K * l * l * 8)
+    src, ridge = struct.unpack_from("<B7xd", cov_p)
+    mats = np.frombuffer(cov_p[16:], dtype="<f8").reshape(K, l, l)
     if not np.isfinite(mats).all():
         raise DataError(f"{path}: covariance holds a non-finite entry")
     cov = SubspaceCovariances(layout=layout, matrices=mats,
                               source="database" if src == 0 else "example_queries",
                               ridge=ridge)
-    if len(codes_p) < 6:
-        raise DataError(f"{path}: codes section holds {len(codes_p)} bytes, "
-                        "shorter than its 6-byte header")
-    n, C = struct.unpack_from("<IH", codes_p)
+    _check_header(path, "codes", codes_p, 8)
+    n, C = struct.unpack_from("<II", codes_p)
     dt = code_dtype(C)
     _check_size(path, "codebook", cb_p, K * C * l * 4)
-    _check_size(path, "codes", codes_p, 6 + n * K * dt.itemsize)
-    _check_size(path, "ids", ids_p, n * 8)
+    _check_size(path, "codes", codes_p, 8 + n * K * dt.itemsize)
+    _check_header(path, "ids", ids_p, 8)
+    width = ids_p[0]
+    if width not in _ID_DTYPES:
+        raise DataError(f"{path}: ids width {width} is not 1, 2, 4 or 8 bytes")
+    _check_size(path, "ids", ids_p, 8 + n * width)
     cents = np.frombuffer(cb_p, dtype="<f4").reshape(K, C, l)
     if not np.isfinite(cents).all():
         raise DataError(f"{path}: codebook holds a non-finite centroid")
     codebook = Codebook(layout=layout, centroids=cents)
-    codes = np.frombuffer(codes_p[6:], dtype=dt).reshape(n, K)
+    codes = np.frombuffer(codes_p[8:], dtype=dt).reshape(n, K)
     # a u8 code is always < 256, so a full-width codebook needs no scan
     if C < 1 << (8 * dt.itemsize) and codes.size and codes.max() >= C:
         raise DataError(f"{path}: code {int(codes.max())} out of range [0, {C})")
-    ids = np.frombuffer(ids_p, dtype="<i8")
+    ids = np.frombuffer(ids_p[8:], dtype=_ID_DTYPES[width])
     return _flat_index(codebook, CodeMatrix(codes=codes), preprocess, layout, ids, cov)

@@ -167,14 +167,24 @@ class TestEncodeSearch:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".")]
 
-    @pytest.mark.parametrize("damage", ["code byte", "truncated"])
+    @pytest.mark.parametrize("damage", ["code byte", "truncated", "ids width",
+                                        "truncated padding"])
     def test_search_damaged_index_is_data_error(self, tmp_path, vec_files, capsys,
                                                 damage):
         db, qs = vec_files
         index = train_small(tmp_path, db)  # n=200, K=4, C=8: u8 codes
         raw = bytearray(Path(index).read_bytes())
+        # the ids section ends the file: an 8-byte length, the width byte and
+        # 7 zero bytes, then 200 int16 ids; before it, 200 x 4 codes
+        ids_payload = len(raw) - (8 + 200 * 2)
         if damage == "code byte":
-            raw[len(raw) - (4 + 200 * 8) - 200 * 4] = 200  # first code byte
+            raw[ids_payload - 8 - 200 * 4] = 200  # first code byte
+        elif damage == "ids width":
+            raw[ids_payload] = 3
+        elif damage == "truncated padding":
+            # the 13-byte preprocess payload at bytes 40-52 is padded to 56
+            assert raw[53:56] == bytes(3)
+            del raw[54:]
         else:
             del raw[-9:]
         with open(index, "wb") as f:
@@ -184,11 +194,11 @@ class TestEncodeSearch:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    # n=200, K=4, l=2: the covariance's first entry is at byte 56 and the
-    # codebook's first centroid at byte 188
+    # n=200, K=4, l=2: the covariance's first entry is at byte 80 and the
+    # codebook's first centroid at byte 216
     @pytest.mark.parametrize("command", ["search", "encode"])
-    @pytest.mark.parametrize("at, value, section", [(188, np.float32(np.nan), "codebook"),
-                                                    (56, np.float64(np.inf), "covariance")])
+    @pytest.mark.parametrize("at, value, section", [(216, np.float32(np.nan), "codebook"),
+                                                    (80, np.float64(np.inf), "covariance")])
     def test_non_finite_index_is_data_error(self, tmp_path, vec_files, capsys, command,
                                             at, value, section):
         db, qs = vec_files
@@ -308,7 +318,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value", [
         ("n", 0), ("d", -1), ("n_queries", 0), ("C", 0), ("C", 1), ("topN", 0), ("iters", 0),
-        ("lam", -0.5)])
+        ("lam", -0.5), ("seed", -1)])
     def test_config_out_of_range_is_usage_error(self, tmp_path, capsys, key, value):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as f:
@@ -326,6 +336,12 @@ class TestEval:
          "'example_query_fraction' must lie in [0, 1]; got -0.5"),
         ({"example_query_fraction": 1.5}, "'example_query_fraction' must lie in [0, 1]; got 1.5"),
         ({"example_query_fraction": 1.0}, "'example_query_fraction' leaves no evaluation query"),
+        ({"example_query_fraction": 0.0, "methods": ["simple-lsh", "quip-cov-q"]},
+         "'example_query_fraction' and 'n_queries' leave no example query, which quip-cov-q "
+         "needs (0.0 x 16 queries rounds to 0)"),
+        ({"n_queries": 1, "methods": ["quip-opt"]},
+         "'example_query_fraction' and 'n_queries' leave no example query, which quip-opt "
+         "needs (0.5 x 1 queries rounds to 0)"),
     ])
     def test_bad_config_value_writes_no_report(self, tmp_path, vec_files, capsys, cfg,
                                                message):
@@ -340,6 +356,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("usage error: config key") and message in err
         assert not list(tmp_path.glob("rep.*"))
+
+    def test_no_example_query_for_methods_that_need_none(self, tmp_path):
+        cfg = {"n": 100, "d": 8, "n_queries": 16, "C": 4, "bits": [16], "topN": 5,
+               "iters": 3, "methods": ["quip-cov-x", "simple-lsh"], "preprocess": "identity",
+               "example_query_fraction": 0.0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        prefix = str(tmp_path / "rep")
+        assert main(["eval", "--config", str(tmp_path / "cfg.json"), "--out-prefix",
+                     prefix]) == 0
+        with open(prefix + ".json") as f:
+            assert set(json.load(f)["methods"]) == {"quip-cov-x@16", "simple-lsh@16"}
 
     def test_reported_bits_are_the_index_bits(self, tmp_path, monkeypatch):
         # C=3 codes take 2 bits each, so a 16-bit budget buys K=8 subspaces
@@ -545,6 +572,18 @@ class TestHybridTrain:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [
+        ["synth", "--n", "10", "--d", "4"],
+        ["train", "--method", "quip-cov-x", "--data", "DB", "--k", "4", "--c", "4"],
+        ["hybrid-train", "--data", "DB", "--partitions", "2", "--k", "4", "--c", "4"]])
+    def test_negative_seed_is_usage_error(self, tmp_path, vec_files, capsys, command):
+        out = tmp_path / "out"
+        argv = [vec_files[0] if a == "DB" else a for a in command]
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: need --seed >= 0; got --seed -1")
+        assert not out.exists()
+
     def test_no_command(self):
         assert main([]) == 1
 

@@ -11,7 +11,7 @@ from quips.covariance import SubspaceCovariances, estimate_subspace_covariances,
 from quips.hybrid import (_kmeanspp_init, _members, assign_query_partitions, build_hybrid,
                           hybrid_search, train_partitioner)
 from quips.index import (QuipIndex, _rank_top_n, build_index, build_lookup_table, code_dtype,
-                         save_index, search_batch, search_top_n, table_scores)
+                         id_dtype, save_index, search_batch, search_top_n, table_scores)
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip
 from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
                             apply_preprocess_rows, make_chunk_layout, make_preprocess)
@@ -145,13 +145,64 @@ def doubled_data_partitioner(data, P, seed, iters=25):
     return centers, _members(assign, np.bincount(assign, minlength=P)), repaired
 
 
+def kmeanspp_oracle(data, P, rng):
+    """k-means++ seeding in whole-matrix form: two (n, d) temporaries per center."""
+    n = data.shape[0]
+    centers = np.empty((P, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    for p in range(1, P):
+        total = d2.sum()
+        if total <= 0:
+            centers[p] = data[rng.integers(n)]
+            continue
+        centers[p] = data[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((data - centers[p]) ** 2, axis=1))
+    return centers
+
+
+# the partitioner's shapes, each with the seed it is drawn and seeded with
+PARTITIONER_SHAPES = [(300, 6, 7, 0), (2000, 64, 20, 1), (1000, 17, 50, 2), (50, 3, 50, 3),
+                      (5000, 64, 100, 4)]
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("n,d,P,seed", PARTITIONER_SHAPES)
+    @pytest.mark.parametrize("order", "CF")
+    def test_draws_the_oracle_rows(self, n, d, P, seed, order):
+        data = np.asarray(np.random.default_rng(seed).standard_normal((n, d)) * 3,
+                          order=order)
+        got = _kmeanspp_init(data, P, np.random.default_rng(seed))
+        want = kmeanspp_oracle(data, P, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+    def test_repeated_rows(self):
+        # three distinct points for six centers: the distances reach zero
+        data = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]]), 10, axis=0)
+        for seed in range(5):
+            got = _kmeanspp_init(data, 6, np.random.default_rng(seed))
+            want = kmeanspp_oracle(data, 6, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order, limit", [("F", 1.0), ("C", 1.5)])
+    def test_no_row_sized_temporary(self, order, limit):
+        # Fortran-ordered rows are read in place; C-ordered ones are copied once
+        data = np.asarray(np.random.default_rng(0).standard_normal((20_000, 32)), order=order)
+        tracemalloc.start()
+        try:
+            _kmeanspp_init(data, 20, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * data.nbytes
+
+
 class TestPartitionerBits:
     # permutation preprocessing hands the partitioner Fortran-ordered rows;
     # C-ordered cases keep their shape-only ids
     @pytest.mark.parametrize("n,d,P,seed,order", [
         pytest.param(*shape, order, id="-".join(map(str, shape)) + ("-F" if order == "F" else ""))
-        for shape in [(300, 6, 7, 0), (2000, 64, 20, 1), (1000, 17, 50, 2), (50, 3, 50, 3),
-                      (5000, 64, 100, 4)]
+        for shape in PARTITIONER_SHAPES
         for order in "CF"])
     def test_equals_doubled_data_form(self, n, d, P, seed, order):
         data = np.asarray(np.random.default_rng(seed).standard_normal((n, d)) * 3,
@@ -383,6 +434,7 @@ class TestContiguousLayout:
         np.testing.assert_array_equal(pindex.codes.codes, codes.codes[rows])
         assert pindex.codes.codes.dtype == code_dtype(8)
         np.testing.assert_array_equal(pindex.ids, self.vs.ids[rows])
+        assert pindex.ids.dtype == id_dtype(self.vs.ids) == np.int16  # ids 500-649
         assert pindex.n == 150
 
     def test_membership_and_partitions_are_views(self):

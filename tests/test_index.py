@@ -1,3 +1,4 @@
+import dataclasses
 import mmap
 import os
 import stat
@@ -15,7 +16,7 @@ import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
 from quips.index import (_rank_rows, _rank_top_n, approximate_inner_product, build_index,
                          build_lookup_table, code_dtype, encode_database,
-                         exact_top_n, load_index, _file_chunks,
+                         exact_top_n, id_dtype, load_index, _file_chunks,
                          predicted_file_size, save_index, search_batch, search_top_n,
                          stack_lookup_tables, table_scores)
 from quips.train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
@@ -38,11 +39,14 @@ def index_to_bytes(index):
 
 
 def section_offset(raw, i):
-    """Where the payload of the file's i-th section (0 = layout) starts."""
-    off = 6
+    """Where the payload of the file's i-th section (0 = layout) starts: an
+    8-byte file header, then per section an 8-byte length, the payload and
+    zero padding to a multiple of 8."""
+    off = 8
     for _ in range(i):
-        off += 4 + int.from_bytes(raw[off:off + 4], "little")
-    return off + 4
+        length = int.from_bytes(raw[off:off + 8], "little")
+        off += 8 + length + -length % 8
+    return off + 8
 
 
 def random_index(n, d, K, C, seed, trained=False):
@@ -543,11 +547,15 @@ def _one_row_index(C):
 
 
 class TestPersistence:
-    def test_save_rejects_C_beyond_format(self, tmp_path):
+    def test_C_beyond_u16_roundtrips(self, tmp_path):
+        # the codes section stores C as a u32; 65,536 codes still fit a u16
         path = str(tmp_path / "big.quip")
-        with pytest.raises(ValueError, match=r"C=65536 exceeds .* limit of 65535"):
-            save_index(_one_row_index(1 << 16), path)
-        assert os.listdir(tmp_path) == []
+        for C in (1 << 16, (1 << 16) + 1):
+            save_index(_one_row_index(C), path)
+            loaded = load_index(path)
+            assert loaded.codebook.C == C
+            assert loaded.codes.codes.dtype == code_dtype(C)
+            np.testing.assert_array_equal(loaded.codes.codes, [[C - 1]])
 
     def test_largest_C_in_format_roundtrips(self, tmp_path):
         path = str(tmp_path / "edge.quip")
@@ -627,7 +635,7 @@ class TestPersistence:
     def _saved(tmp_path, C):
         _, index = random_index(30, 8, 4, C, seed=17)
         raw = bytearray(index_to_bytes(index))
-        first_code = len(raw) - (4 + 30 * 8) - 30 * 4 * code_dtype(C).itemsize
+        first_code = section_offset(raw, 4) + 8  # after the codes' u32 n and u32 C
         return index, raw, first_code, tmp_path / "x.quip"
 
     def test_every_truncation_is_data_error(self, tmp_path):
@@ -645,7 +653,7 @@ class TestPersistence:
 
     def test_section_disagreeing_with_header_is_data_error(self, tmp_path):
         _, raw, first_code, p = self._saved(tmp_path, 16)
-        raw[first_code - 6 : first_code - 2] = (31).to_bytes(4, "little")  # n
+        raw[first_code - 8 : first_code - 4] = (31).to_bytes(4, "little")  # n
         p.write_bytes(raw)
         with pytest.raises(DataError, match="codes section holds"):
             load_index(str(p))
@@ -659,10 +667,10 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"code {bad} out of range"):
             load_index(str(p))
 
-    # the covariance's first 9 bytes are its source and ridge
+    # the covariance's first 16 bytes are its source, 7 zero bytes and ridge
     @pytest.mark.parametrize("section, skip, value, message", [
-        (2, 9, np.float64(np.inf), "covariance holds a non-finite entry"),
-        (2, 9 + 8 * 7, np.float64(-np.inf), "covariance holds a non-finite entry"),
+        (2, 16, np.float64(np.inf), "covariance holds a non-finite entry"),
+        (2, 16 + 8 * 7, np.float64(-np.inf), "covariance holds a non-finite entry"),
         (3, 0, np.float32(np.nan), "codebook holds a non-finite centroid"),
         (3, 4 * 50, np.float32(np.inf), "codebook holds a non-finite centroid"),
     ])
@@ -686,6 +694,113 @@ class TestPersistence:
         raw = index_to_bytes(small)
         # one byte per (vector, subspace) when C <= 256
         assert len(raw) == predicted_file_size(10, 4, small.layout.l, 256)
+
+
+# the values at which id_dtype must step to a wider type
+ID_EDGES = [-128, 127, -129, 128, 32_767, -32_769, 2**31 - 1, -2**31 - 1, 2**63 - 1, -2**63]
+
+
+def _arrays(x):
+    """Every numpy array held by a (nested) dataclass."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _arrays(getattr(x, f.name))]
+    return []
+
+
+class TestIdWidths:
+    @pytest.mark.parametrize("ids, dtype", [
+        ([], "<i1"), ([-128, 127], "<i1"), ([0, 128], "<i2"), ([-129], "<i2"),
+        ([32_767, -32_768], "<i2"), ([-32_769], "<i4"), ([2**31 - 1, -2**31], "<i4"),
+        ([-2**31 - 1], "<i8"), ([2**31], "<i8"), ([2**63 - 1, -2**63], "<i8")])
+    def test_id_dtype_is_the_narrowest(self, ids, dtype):
+        assert id_dtype(np.array(ids, dtype=np.int64)) == np.dtype(dtype)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.sampled_from(ID_EDGES) | st.integers(-300, 300),
+                        min_size=1, max_size=13, unique=True),
+           C=st.sampled_from([3, 16, 300]), seed=st.integers(0, 2**16))
+    def test_save_load_search_roundtrip(self, tmp_path_factory, ids, C, seed):
+        # K=3 and odd row counts leave codes and ids sections that need padding
+        rng = np.random.default_rng(seed)
+        n, K = len(ids), 3
+        vs = make_set(rng.standard_normal((n, 6)), ids=ids)
+        layout = make_chunk_layout(6, K)
+        cb = Codebook(layout=layout, centroids=rng.standard_normal((K, C, 2)))
+        codes = CodeMatrix(codes=rng.integers(0, C, size=(n, K)))
+        cov = SubspaceCovariances(layout=layout, matrices=np.ones((K, 2, 2)), source="database")
+        index = build_index(vs, cb, codes, PreprocessSpec("identity", 0, 6), cov)
+        assert index.ids.dtype == id_dtype(vs.ids)
+        path = str(tmp_path_factory.mktemp("ids") / "i.quip")
+        save_index(index, path)
+        assert os.path.getsize(path) == predicted_file_size(
+            n, K, 2, C, id_range=(min(ids), max(ids)))
+        loaded = load_index(path)
+        assert loaded.ids.dtype == index.ids.dtype
+        assert loaded.ids.tolist() == ids
+        base = loaded.ids
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)
+        for a in _arrays(loaded):
+            assert a.ctypes.data % 8 == 0
+        Q = rng.standard_normal((4, 6))
+        got_ids, got_scores = search_batch(loaded, Q, n)
+        want_ids, want_scores = search_batch(index, Q, n)
+        assert got_ids.dtype == want_ids.dtype == np.int64
+        assert got_ids.tobytes() == want_ids.tobytes()
+        assert got_scores.tobytes() == want_scores.tobytes()
+        for q, row_ids, row_scores in zip(Q, got_ids, got_scores):
+            top = search_top_n(loaded, q, n)
+            assert top.ids.dtype == np.int64
+            assert top.ids.tobytes() == row_ids.tobytes()
+            # ranked against int64 ids: a narrow id type must not reorder ties
+            scores = table_scores(build_lookup_table(q, loaded.codebook), loaded.codes.codes)
+            order = np.lexsort((np.array(ids, dtype=np.int64), -scores))
+            assert row_ids.tolist() == [ids[i] for i in order]
+            assert row_scores.tobytes() == scores[order].tobytes()
+
+    def test_every_loaded_array_is_aligned(self, tmp_path):
+        # n=37, K=4, C=5: the preprocess, codes and ids sections are padded
+        _, index = random_index(37, 8, 4, 5, seed=25)
+        path = str(tmp_path / "i.quip")
+        save_index(index, path)
+        assert os.path.getsize(path) % 8 == 0
+        arrays = _arrays(load_index(path))
+        assert len(arrays) == 6
+        for a in arrays:
+            assert a.flags.aligned and a.ctypes.data % 8 == 0
+
+    @pytest.mark.parametrize("width, message", [
+        (0, "ids width 0 is not 1, 2, 4 or 8 bytes"), (3, "ids width 3 is not"),
+        (16, "ids width 16 is not"), (8, "ids section holds 48 bytes; its header implies 328")])
+    def test_bad_width_byte_is_data_error(self, tmp_path, width, message):
+        _, index = random_index(40, 8, 4, 16, seed=26)  # 40 int8 ids
+        raw = bytearray(index_to_bytes(index))
+        raw[section_offset(raw, 5)] = width
+        (tmp_path / "x.quip").write_bytes(raw)
+        with pytest.raises(DataError, match=message):
+            load_index(str(tmp_path / "x.quip"))
+
+    def test_truncated_padding_is_data_error(self, tmp_path):
+        # 30 int8 ids: the ids payload is 38 bytes, padded with 2 zero bytes
+        _, index = random_index(30, 8, 4, 16, seed=17)
+        raw = index_to_bytes(index)
+        assert raw[-2:] == b"\0\0"
+        for cut in (1, 2):
+            (tmp_path / "x.quip").write_bytes(raw[:-cut])
+            with pytest.raises(DataError, match="declares 38 bytes and 2 of padding"):
+                load_index(str(tmp_path / "x.quip"))
+
+    def test_version_1_is_data_error(self, tmp_path):
+        _, index = random_index(10, 8, 4, 16, seed=27)
+        raw = bytearray(index_to_bytes(index))
+        raw[4:6] = (1).to_bytes(2, "little")
+        (tmp_path / "v1.quip").write_bytes(raw)
+        with pytest.raises(DataError, match="index format version 1; this reader takes "
+                                            "version 2 only"):
+            load_index(str(tmp_path / "v1.quip"))
 
 
 class TestMappedLoad:
