@@ -8,7 +8,7 @@ from .index import (QuipIndex, TopNResult, approximate_inner_product, build_inde
 from .train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                     train_quip, train_quip_opt)
 from .vecstore import (ChunkLayout, DenseVectorSet, PreprocessSpec,
-                       apply_preprocess, balancedness, generate_synthetic,
+                       apply_preprocess, generate_synthetic,
                        load_vectors, make_chunk_layout, make_preprocess,
                        save_fvecs)
 

@@ -22,9 +22,10 @@ from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
                        apply_preprocess_rows, pad_to)
 
 MAGIC = b"QUIP"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ALIGN = 8  # every section payload starts at a file offset that is a multiple of this
 _ID_DTYPES = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}  # by width in bytes
+_CODE_DTYPES = tuple(np.dtype(f"<u{w}") for w in (1, 2, 4))
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,8 @@ def exact_top_n(database: DenseVectorSet, q: np.ndarray, N: int) -> TopNResult:
 # u64 payload length, the payload and zero padding to a multiple of 8 bytes, so
 # every payload, and every array in it, starts 8-byte aligned:
 #   layout      u32 K, l, d_padded, original_d
-#   preprocess  u8 kind, i64 seed, u32 d_padded
+#   preprocess  u8 kind, 7 zero bytes, i64 seed, u32 d_padded, 4 zero bytes,
+#               then the (d_padded,) i4 table (PreprocessSpec.table)
 #   covariance  u8 source, 7 zero bytes, f64 ridge, f64 (K, l, l)
 #   codebook    f32 (K, C, l)
 #   codes       u32 n, u32 C, (n, K) codes as code_dtype(C)
@@ -353,7 +355,7 @@ def _check_header(path: str, name: str, payload: bytes, size: int) -> None:
 
 
 def code_dtype(C: int) -> np.dtype:
-    return np.dtype("<u1" if C <= 1 << 8 else "<u2" if C <= 1 << 16 else "<u4")
+    return _CODE_DTYPES[0 if C <= 1 << 8 else 1 if C <= 1 << 16 else 2]
 
 
 def id_dtype(ids: np.ndarray) -> np.dtype:
@@ -369,10 +371,14 @@ def _file_chunks(index: QuipIndex) -> list:
     if index.P != 1:
         raise ValueError(f"the index file format holds one partition; got P={index.P}")
     lay, pre, cov, C = index.layout, index.preprocess, index.cov, index.codebook.C
+    if pre.d_padded != lay.d_padded:
+        raise ValueError(f"preprocess d_padded {pre.d_padded} differs from the "
+                         f"layout's {lay.d_padded}")
     ids = np.ascontiguousarray(index.ids, dtype=id_dtype(index.ids))
     sections = [
         [struct.pack("<IIII", lay.K, lay.l, lay.d_padded, lay.original_d)],
-        [struct.pack("<BqI", PreprocessSpec.KINDS.index(pre.kind), pre.seed, pre.d_padded)],
+        [struct.pack("<B7xqI4x", PreprocessSpec.KINDS.index(pre.kind), pre.seed, pre.d_padded),
+         np.ascontiguousarray(pre.table, dtype="<i4")],
         [struct.pack("<B7xd", 0 if cov.source == "database" else 1, cov.ridge),
          np.ascontiguousarray(cov.matrices, dtype="<f8")],
         [np.ascontiguousarray(index.codebook.centroids, dtype="<f4")],
@@ -395,7 +401,7 @@ def predicted_file_size(n: int, K: int, l: int, C: int,
     their (min, max).
     """
     lo, hi = id_range if id_range is not None else (0, max(n - 1, 0))
-    payloads = [16, 13, 16 + K * l * l * 8, K * C * l * 4,
+    payloads = [16, 24 + K * l * 4, 16 + K * l * l * 8, K * C * l * 4,
                 8 + n * K * code_dtype(C).itemsize,
                 8 + n * id_dtype(np.array([lo, hi])).itemsize]
     return 8 + sum(8 + p + -p % _ALIGN for p in payloads)
@@ -476,15 +482,27 @@ def _parse_index(buf, path: str) -> QuipIndex:
         raise DataError(f"{path}: inconsistent layout K={K} l={l} "
                         f"d_padded={d_padded} original_d={original_d}")
     layout = ChunkLayout(K=K, l=l, d_padded=d_padded, original_d=original_d)
-    _check_size(path, "preprocess", pre_p, 13)
-    kind, seed, pre_d = struct.unpack("<BqI", pre_p)
+    _check_header(path, "preprocess", pre_p, 24)
+    # the kind's 7 zero bytes are read as a u8, u16 and u32, so each must be 0
+    kind, z1, z2, z4, seed, pre_d, z_tail = struct.unpack_from("<BBHIqII", pre_p)
+    if z1 or z2 or z4 or z_tail:
+        raise DataError(f"{path}: preprocess section has a nonzero pad byte")
     if kind >= len(PreprocessSpec.KINDS):
         raise DataError(f"{path}: unknown preprocess kind {kind}")
-    preprocess = PreprocessSpec(kind=PreprocessSpec.KINDS[kind], seed=seed, d_padded=pre_d)
+    if pre_d != d_padded:
+        raise DataError(f"{path}: preprocess d_padded {pre_d} differs from the "
+                        f"layout's {d_padded}")
+    _check_size(path, "preprocess", pre_p, 24 + pre_d * 4)
+    try:
+        preprocess = PreprocessSpec(kind=PreprocessSpec.KINDS[kind], seed=seed, d_padded=pre_d,
+                                    table=np.frombuffer(pre_p[24:], dtype="<i4"))
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
     _check_size(path, "covariance", cov_p, 16 + K * l * l * 8)
     src, ridge = struct.unpack_from("<B7xd", cov_p)
     mats = np.frombuffer(cov_p[16:], dtype="<f8").reshape(K, l, l)
-    if not np.isfinite(mats).all():
+    # count_nonzero is one C call where .all() adds a Python wrapper; every load runs these
+    if np.count_nonzero(np.isfinite(mats)) != mats.size:
         raise DataError(f"{path}: covariance holds a non-finite entry")
     cov = SubspaceCovariances(layout=layout, matrices=mats,
                               source="database" if src == 0 else "example_queries",
@@ -500,7 +518,7 @@ def _parse_index(buf, path: str) -> QuipIndex:
         raise DataError(f"{path}: ids width {width} is not 1, 2, 4 or 8 bytes")
     _check_size(path, "ids", ids_p, 8 + n * width)
     cents = np.frombuffer(cb_p, dtype="<f4").reshape(K, C, l)
-    if not np.isfinite(cents).all():
+    if np.count_nonzero(np.isfinite(cents)) != cents.size:
         raise DataError(f"{path}: codebook holds a non-finite centroid")
     codebook = Codebook(layout=layout, centroids=cents)
     codes = np.frombuffer(codes_p[8:], dtype=dt).reshape(n, K)

@@ -7,8 +7,7 @@ random Hadamard rotation is applied first to spread the norm across blocks.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,19 +61,65 @@ class ChunkLayout:
 
 @dataclass(frozen=True)
 class PreprocessSpec:
-    """Fixed norm-spreading transform applied to database and queries alike."""
+    """Fixed norm-spreading transform applied to database and queries alike.
+
+    table holds the transform's d_padded int32 entries: 0..d_padded-1 for
+    identity, the column permutation, or the Hadamard rotation's +-1 signs.
+    Left out, it is drawn once from seed (numpy's default_rng); given, as a
+    loaded index gives it, it is checked and nothing is drawn.  It takes no
+    part in == and hash: the seed names the transform.
+    """
 
     kind: str  # identity | permutation | hadamard_rotation
     seed: int
     d_padded: int
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     KINDS = ("identity", "permutation", "hadamard_rotation")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown preprocess kind {self.kind!r}")
-        if self.kind == "hadamard_rotation" and self.d_padded & (self.d_padded - 1):
-            raise ValueError("hadamard_rotation requires power-of-2 dimensionality")
+        if self.seed < 0:
+            raise ValueError(f"preprocess seed must be >= 0; got {self.seed}")
+        d = self.d_padded
+        if self.kind == "hadamard_rotation" and d & (d - 1):
+            raise ValueError("hadamard_rotation requires power-of-2 dimensionality; "
+                             f"got d_padded {d}")
+        if self.table is None:
+            table = _draw_table(self.kind, self.seed, d)
+            table.flags.writeable = False
+        else:
+            table = np.asarray(self.table, dtype="<i4")
+            _check_table(self.kind, table, d)
+        object.__setattr__(self, "table", table)
+
+
+def _draw_table(kind: str, seed: int, d: int) -> np.ndarray:
+    if kind == "identity":
+        return np.arange(d, dtype="<i4")
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        return rng.permutation(d).astype("<i4")
+    return rng.choice([-1.0, 1.0], size=d).astype("<i4")
+
+
+def _check_table(kind: str, table: np.ndarray, d: int) -> None:
+    """A ValueError unless table holds 0..d-1 (identity), a permutation of
+    them, or +-1 signs (hadamard_rotation).  Every load runs it, so it keeps
+    to a few numpy calls: a sort and one comparison of bytes."""
+    if table.shape != (d,):
+        raise ValueError(f"preprocess table has shape {table.shape}; d_padded is {d}")
+    if kind == "hadamard_rotation":
+        if np.count_nonzero(np.abs(table) != 1):
+            raise ValueError("hadamard_rotation table holds an entry other than +-1")
+        return
+    if kind == "permutation":
+        table = table.copy()
+        table.sort()
+    if table.tobytes() != np.arange(d, dtype="<i4").tobytes():
+        raise ValueError(f"{kind} table is not "
+                         f"{'a permutation of ' if kind == 'permutation' else ''}0..{d - 1}")
 
 
 def make_chunk_layout(d: int, K: int) -> ChunkLayout:
@@ -113,25 +158,6 @@ def pad_to(data: np.ndarray, d_padded: int) -> np.ndarray:
     return np.pad(data, pad)
 
 
-# The spec is frozen and hashable, so its constants are drawn once per spec,
-# not once per query; the cached arrays are read-only because every caller
-# shares them.
-@functools.lru_cache(maxsize=64)
-def permutation_for(spec: PreprocessSpec) -> np.ndarray:
-    return _read_only(np.random.default_rng(spec.seed).permutation(spec.d_padded))
-
-
-@functools.lru_cache(maxsize=64)
-def _hadamard_signs(spec: PreprocessSpec) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    return _read_only(rng.choice([-1.0, 1.0], size=spec.d_padded))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _fwht(rows: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis.
 
@@ -165,21 +191,10 @@ def apply_preprocess_rows(rows: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
     if spec.kind == "identity":
         data = data.copy()
     elif spec.kind == "permutation":
-        data = data[:, permutation_for(spec)]
+        data = data[:, spec.table]
     else:
-        data = _fwht(data * _hadamard_signs(spec)) / np.sqrt(spec.d_padded)
+        data = _fwht(data * spec.table) / np.sqrt(spec.d_padded)
     return data[0] if rows.ndim == 1 else data
-
-
-def balancedness(v: np.ndarray, layout: ChunkLayout) -> float:
-    """Largest eta such that no block carries more than (1/K + (1-eta)) of ||v||^2."""
-    v = pad_to(np.asarray(v, dtype=np.float64), layout.d_padded)
-    total = float(np.dot(v, v))
-    if total == 0.0:
-        raise ValueError("balancedness undefined for the zero vector")
-    frac = max(float(np.dot(b, b)) / total
-               for b in (layout.block(v, k) for k in range(layout.K)))
-    return 1.0 + 1.0 / layout.K - frac
 
 
 def generate_synthetic(n: int, d: int, norm_spread: float, seed: int) -> DenseVectorSet:

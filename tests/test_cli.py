@@ -12,7 +12,7 @@ import pytest
 import quips
 import quips.cli
 from quips.cli import main
-from quips.index import load_index, search_top_n
+from quips.index import load_index, search_batch, search_top_n
 from quips.vecstore import apply_preprocess, load_vectors
 
 
@@ -167,24 +167,37 @@ class TestEncodeSearch:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".")]
 
+    # each preprocess damage is a data error whose message names the field
+    PREPROCESS_DAMAGE = {"preprocess d_padded": "preprocess d_padded 10 differs",
+                         "hadamard width": "power-of-2 dimensionality; got d_padded 9",
+                         "negative seed": "preprocess seed must be >= 0; got -1"}
+
     @pytest.mark.parametrize("damage", ["code byte", "truncated", "ids width",
-                                        "truncated padding"])
+                                        "truncated padding", *PREPROCESS_DAMAGE])
     def test_search_damaged_index_is_data_error(self, tmp_path, vec_files, capsys,
                                                 damage):
         db, qs = vec_files
-        index = train_small(tmp_path, db)  # n=200, K=4, C=8: u8 codes
+        index = train_small(tmp_path, db, k=3)  # n=200, K=3, C=8: u8 codes, d_padded 9
         raw = bytearray(Path(index).read_bytes())
         # the ids section ends the file: an 8-byte length, the width byte and
-        # 7 zero bytes, then 200 int16 ids; before it, 200 x 4 codes
+        # 7 zero bytes, then 200 int16 ids; before it, 200 x 3 codes
         ids_payload = len(raw) - (8 + 200 * 2)
+        # the 60-byte preprocess payload at bytes 40-99 (kind, 7 zero bytes,
+        # i64 seed at 48, u32 d_padded at 56, 4 zero bytes, 9 i4 entries) is
+        # padded to 104
         if damage == "code byte":
-            raw[ids_payload - 8 - 200 * 4] = 200  # first code byte
+            raw[ids_payload - 8 - 200 * 3] = 200  # first code byte
         elif damage == "ids width":
             raw[ids_payload] = 3
         elif damage == "truncated padding":
-            # the 13-byte preprocess payload at bytes 40-52 is padded to 56
-            assert raw[53:56] == bytes(3)
-            del raw[54:]
+            assert raw[100:104] == bytes(4)
+            del raw[102:]
+        elif damage == "preprocess d_padded":
+            raw[56:60] = (10).to_bytes(4, "little")
+        elif damage == "hadamard width":
+            raw[40] = 2  # hadamard_rotation over the layout's 9 columns
+        elif damage == "negative seed":
+            raw[48:56] = (-1).to_bytes(8, "little", signed=True)
         else:
             del raw[-9:]
         with open(index, "wb") as f:
@@ -193,12 +206,13 @@ class TestEncodeSearch:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+        assert self.PREPROCESS_DAMAGE.get(damage, "") in err
 
-    # n=200, K=4, l=2: the covariance's first entry is at byte 80 and the
-    # codebook's first centroid at byte 216
+    # n=200, K=4, l=2: the covariance's first entry is at byte 120 and the
+    # codebook's first centroid at byte 256
     @pytest.mark.parametrize("command", ["search", "encode"])
-    @pytest.mark.parametrize("at, value, section", [(216, np.float32(np.nan), "codebook"),
-                                                    (80, np.float64(np.inf), "covariance")])
+    @pytest.mark.parametrize("at, value, section", [(256, np.float32(np.nan), "codebook"),
+                                                    (120, np.float64(np.inf), "covariance")])
     def test_non_finite_index_is_data_error(self, tmp_path, vec_files, capsys, command,
                                             at, value, section):
         db, qs = vec_files
@@ -237,6 +251,40 @@ class TestEncodeSearch:
                               "--queries", qs, "--out", str(tmp_path / "o.csv")],
                              env=env, capture_output=True, text=True, timeout=120)
         assert out.stdout.split()[-2:] == ["0", "False"], out.stdout + out.stderr
+
+    @pytest.mark.parametrize("kind", ["identity", "permutation", "hadamard_rotation"])
+    def test_serving_draws_nothing(self, tmp_path, vec_files, monkeypatch, kind):
+        # the index file holds its preprocessing table, so loading and
+        # searching it never asks numpy's generator for the seed's draw
+        db, qs = vec_files
+        index = train_small(tmp_path, db, preprocess=kind)
+        Q = load_vectors(qs, "fvecs").data
+
+        def serve(out):
+            loaded = load_index(index)
+            top = search_top_n(loaded, Q[0], 5)
+            ids, scores = search_batch(loaded, Q, 5)
+            assert main(["search", "--index", index, "--queries", qs, "--topn", "5",
+                         "--out", str(tmp_path / out)]) == 0
+            return (top.ids.tobytes(), top.scores.tobytes(), ids.tobytes(), scores.tobytes(),
+                    (tmp_path / out).read_bytes())
+
+        want = serve("a.csv")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from numpy.random")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert serve("b.csv") == want
+        monkeypatch.undo()
+        script = ("import sys; from quips.cli import main; "
+                  "code = main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quips.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, "search", "--index", index,
+                              "--queries", qs, "--topn", "5", "--out", str(tmp_path / "c.csv")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"], out.stdout + out.stderr
+        assert (tmp_path / "c.csv").read_bytes() == want[-1]
 
     def test_search_missing_index(self, tmp_path, vec_files):
         _, qs = vec_files

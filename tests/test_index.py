@@ -2,6 +2,7 @@ import dataclasses
 import mmap
 import os
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -762,13 +763,13 @@ class TestIdWidths:
             assert row_scores.tobytes() == scores[order].tobytes()
 
     def test_every_loaded_array_is_aligned(self, tmp_path):
-        # n=37, K=4, C=5: the preprocess, codes and ids sections are padded
-        _, index = random_index(37, 8, 4, 5, seed=25)
+        # n=37, d=9, K=3, C=5: the preprocess, codes and ids sections are padded
+        _, index = random_index(37, 9, 3, 5, seed=25)
         path = str(tmp_path / "i.quip")
         save_index(index, path)
         assert os.path.getsize(path) % 8 == 0
         arrays = _arrays(load_index(path))
-        assert len(arrays) == 6
+        assert len(arrays) == 7  # the preprocess table is the seventh
         for a in arrays:
             assert a.flags.aligned and a.ctypes.data % 8 == 0
 
@@ -799,8 +800,109 @@ class TestIdWidths:
         raw[4:6] = (1).to_bytes(2, "little")
         (tmp_path / "v1.quip").write_bytes(raw)
         with pytest.raises(DataError, match="index format version 1; this reader takes "
-                                            "version 2 only"):
+                                            "version 3 only"):
             load_index(str(tmp_path / "v1.quip"))
+
+
+def _v2_bytes(raw):
+    """A v3 file's bytes rewritten as format v2, whose preprocess payload is
+    13 bytes (u8 kind, i64 seed, u32 d_padded) with no table."""
+    pre, end = section_offset(raw, 1), section_offset(raw, 2) - 8
+    kind, seed, d_padded = struct.unpack_from("<B7xqI", raw, pre)
+    payload = struct.pack("<BqI", kind, seed, d_padded)
+    return (raw[:4] + struct.pack("<H2x", 2) + raw[8:pre - 8]
+            + struct.pack("<Q", 13) + payload + bytes(3) + raw[end:])
+
+
+class TestPreprocessTable:
+    KINDS = ("identity", "permutation", "hadamard_rotation")
+
+    @staticmethod
+    def _saved(kind, seed=5, d=12, K=4):
+        # hadamard_rotation widens d=12 to 16
+        spec, layout = make_preprocess(kind, seed, make_chunk_layout(d, K))
+        rng = np.random.default_rng(seed)
+        vs = make_set(rng.standard_normal((20, d)))
+        cb = Codebook(layout=layout, centroids=rng.standard_normal((K, 4, layout.l)))
+        codes = CodeMatrix(codes=rng.integers(0, 4, size=(20, K)))
+        cov = SubspaceCovariances(layout=layout, source="database",
+                                  matrices=np.tile(np.eye(layout.l), (K, 1, 1)))
+        index = build_index(apply_preprocess(vs, spec), cb, codes, spec, cov)
+        return index, bytearray(index_to_bytes(index))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed, d", [(0, 12), (7, 5), (2**40, 16)])
+    def test_saved_table_is_the_seeds_draw(self, tmp_path, kind, seed, d):
+        index, raw = self._saved(kind, seed, d, 1)
+        d_padded = index.layout.d_padded
+        rng = np.random.default_rng(seed)
+        want = {"identity": lambda: np.arange(d_padded),
+                "permutation": lambda: rng.permutation(d_padded),
+                "hadamard_rotation": lambda: rng.choice([-1.0, 1.0], size=d_padded)}[kind]()
+        at = section_offset(raw, 1)
+        assert struct.unpack_from("<B7xqI4x", raw, at) == (self.KINDS.index(kind), seed,
+                                                           d_padded)
+        stored = np.frombuffer(raw, dtype="<i4", count=d_padded, offset=at + 24)
+        assert stored.tolist() == want.tolist()
+        path = tmp_path / "i.quip"
+        path.write_bytes(raw)
+        loaded = load_index(str(path))
+        assert loaded.preprocess == index.preprocess
+        assert loaded.preprocess.table.tolist() == want.tolist()
+        Q = np.random.default_rng(3).standard_normal((4, d))
+        np.testing.assert_array_equal(apply_preprocess_rows(Q, loaded.preprocess),
+                                      apply_preprocess_rows(Q, index.preprocess))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    def test_damaged_table_is_data_error(self, tmp_path_factory, kind, data):
+        index, raw = self._saved(kind)
+        d, at = index.layout.d_padded, section_offset(raw, 1)
+        table = at + 24
+        damage = data.draw(st.sampled_from(
+            ["bad entry", "pad byte", "truncated file", "short table"]
+            + ([] if kind == "hadamard_rotation" else ["duplicate"])))
+        if damage == "bad entry":
+            ok = (lambda v: abs(v) != 1) if kind == "hadamard_rotation" else \
+                (lambda v: not 0 <= v < d)
+            value = data.draw(st.integers(-2**31, 2**31 - 1).filter(ok))
+            i = data.draw(st.integers(0, d - 1))
+            struct.pack_into("<i", raw, table + 4 * i, value)
+        elif damage == "duplicate":
+            i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                      unique=True))
+            raw[table + 4 * i:table + 4 * i + 4] = raw[table + 4 * j:table + 4 * j + 4]
+        elif damage == "pad byte":
+            i = data.draw(st.sampled_from([*range(1, 8), *range(20, 24)]))
+            raw[at + i] = data.draw(st.integers(1, 255))
+        elif damage == "truncated file":
+            del raw[data.draw(st.integers(at - 8, table + 4 * d)):]
+        else:  # a consistent section length over fewer entries
+            m = data.draw(st.integers(1, d))
+            length = 24 + 4 * (d - m)
+            raw = (raw[:at - 8] + struct.pack("<Q", length) + raw[at:at + length]
+                   + bytes(-length % 8) + raw[table + 4 * d:])
+        path = tmp_path_factory.mktemp("table") / "x.quip"
+        path.write_bytes(raw)
+        with pytest.raises(DataError):
+            load_index(str(path))
+
+    def test_save_rejects_a_table_of_another_width(self, tmp_path):
+        index, _ = self._saved("permutation")
+        wide = dataclasses.replace(index, preprocess=PreprocessSpec("permutation", 5, 16))
+        with pytest.raises(ValueError, match="preprocess d_padded 16 differs from the "
+                                             "layout's 12"):
+            save_index(wide, str(tmp_path / "x.quip"))
+        assert os.listdir(tmp_path) == []
+
+    def test_version_2_is_data_error(self, tmp_path):
+        _, raw = self._saved("permutation")
+        v2 = _v2_bytes(bytes(raw))
+        assert len(v2) == len(raw) - 4 * 12 - 8  # 56 + 48 payload bytes become 16
+        (tmp_path / "v2.quip").write_bytes(v2)
+        with pytest.raises(DataError, match="index format version 2; this reader takes "
+                                            "version 3 only"):
+            load_index(str(tmp_path / "v2.quip"))
 
 
 class TestMappedLoad:
@@ -810,7 +912,7 @@ class TestMappedLoad:
         save_index(index, path)
         loaded = load_index(path)
         for a in (loaded.codes.codes, loaded.ids, loaded.codebook.centroids,
-                  loaded.cov.matrices):
+                  loaded.cov.matrices, loaded.preprocess.table):
             assert not a.flags.writeable
             while isinstance(a, np.ndarray):
                 a = a.base

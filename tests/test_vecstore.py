@@ -3,15 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quips.vecstore import (DataError, DenseVectorSet, _fwht, apply_preprocess,
-                            balancedness, generate_synthetic, load_vectors,
-                            make_chunk_layout, make_preprocess, pad_to,
-                            save_fvecs, PreprocessSpec)
+from quips.vecstore import (ChunkLayout, DataError, DenseVectorSet, _fwht, apply_preprocess,
+                            generate_synthetic, load_vectors, make_chunk_layout,
+                            make_preprocess, pad_to, save_fvecs, PreprocessSpec)
 
 
 def make_set(data):
     data = np.asarray(data, dtype=np.float64)
     return DenseVectorSet(data=data, ids=np.arange(len(data), dtype=np.int64))
+
+
+def balancedness(v: np.ndarray, layout: ChunkLayout) -> float:
+    """Largest eta such that no block carries more than (1/K + (1-eta)) of ||v||^2."""
+    v = pad_to(np.asarray(v, dtype=np.float64), layout.d_padded)
+    total = float(np.dot(v, v))
+    if total == 0.0:
+        raise ValueError("balancedness undefined for the zero vector")
+    frac = max(float(np.dot(b, b)) / total
+               for b in (layout.block(v, k) for k in range(layout.K)))
+    return 1.0 + 1.0 / layout.K - frac
 
 
 class TestFvecs:
@@ -185,6 +195,32 @@ class TestPreprocess:
     def test_hadamard_requires_pow2(self):
         with pytest.raises(ValueError):
             PreprocessSpec(kind="hadamard_rotation", seed=0, d_padded=6)
+
+    def test_table_is_the_seeds_draw_and_not_compared(self):
+        spec = PreprocessSpec(kind="permutation", seed=11, d_padded=5)
+        assert spec.table.tolist() == np.random.default_rng(11).permutation(5).tolist()
+        assert not spec.table.flags.writeable
+        given = PreprocessSpec("permutation", 11, 5, table=np.arange(5)[::-1])
+        assert given.table.tolist() == [4, 3, 2, 1, 0]
+        assert given == spec and hash(given) == hash(spec)
+        signs = PreprocessSpec(kind="hadamard_rotation", seed=4, d_padded=8).table
+        assert signs.tolist() == np.random.default_rng(4).choice([-1.0, 1.0], size=8).tolist()
+        assert PreprocessSpec(kind="identity", seed=9, d_padded=3).table.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("kind, table, message", [
+        ("identity", [1, 0, 2, 3], "identity table is not 0..3"),
+        ("permutation", [0, 0, 2, 3], "not a permutation of 0..3"),
+        ("permutation", [0, 1, 2, 4], "not a permutation of 0..3"),
+        ("permutation", [0, 1, 2], r"shape \(3,\); d_padded is 4"),
+        ("hadamard_rotation", [1, -1, 0, 1], "entry other than"),
+        ("hadamard_rotation", [1, -1, 2, 1], "entry other than")])
+    def test_given_table_is_checked(self, kind, table, message):
+        with pytest.raises(ValueError, match=message):
+            PreprocessSpec(kind, 0, 4, table=np.array(table))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0; got -1"):
+            PreprocessSpec(kind="identity", seed=-1, d_padded=4)
 
     def test_make_preprocess_widens_for_hadamard(self):
         layout = make_chunk_layout(12, 4)
