@@ -130,12 +130,12 @@ def _run(args) -> int:
         index = load_index(args.index)
         qs = _load_for(index, args.queries, args.format)
         ids, scores = search_batch(index, qs.data, args.topn)
-        with open(args.out, "w", newline="") as f:
+        with open(args.out, "w", newline="") as f:  # Python scalars format fastest
             w = csv.writer(f)
             w.writerow(["query", "rank", "id", "score"])
-            for j in range(qs.n):
-                for r, (i, s) in enumerate(zip(ids[j], scores[j])):
-                    w.writerow([j, r, int(i), f"{s:.9g}"])
+            w.writerows([j, r, i, f"{s:.9g}"]
+                        for j, row in enumerate(zip(ids.tolist(), scores.tolist()))
+                        for r, (i, s) in enumerate(zip(*row)))
         print(f"searched {qs.n} queries -> {args.out}")
     elif args.command == "eval":
         cfg = evalbench.ExperimentConfig.from_json(args.config)

@@ -35,8 +35,8 @@ def estimate_subspace_covariances(vs: DenseVectorSet, layout: ChunkLayout,
 
 def regularize(cov: SubspaceCovariances, ridge: float) -> SubspaceCovariances:
     """Add ridge * trace(M)/l to each diagonal; keeps the scale of M."""
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:  # NaN fails too
+        raise ValueError(f"need a finite ridge >= 0; got {ridge}")
     mats = cov.matrices.copy()
     l = cov.layout.l
     for k in range(cov.layout.K):

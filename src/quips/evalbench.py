@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lsh
 from .covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from .index import (QuipIndex, _rank_rows, build_index, search_batch, stack_lookup_tables,
+from .index import (QuipIndex, _rank_rows, build_index, build_lookup_table, search_batch,
                     table_scores)
 from .train import TrainConfig, train_quip, train_quip_opt
 from .vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
@@ -325,11 +325,12 @@ def _pair_errors(index: QuipIndex, queries: DenseVectorSet,
                  db_data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exact, approx) score matrices over all (query, row) pairs.
 
-    db_data must be the preprocessed database rows backing the index.
+    db_data must be the preprocessed database rows backing the index; the
+    approximate scores are one (K, C, |Q|) table's scan of the codes.
     """
     qp = pad_to(queries.data, index.layout.d_padded)
     exact = qp @ pad_to(db_data, index.layout.d_padded).T
-    approx = table_scores(stack_lookup_tables(qp, index.codebook), index.codes.codes)
+    approx = table_scores(build_lookup_table(qp, index.codebook), index.codes.codes)
     return exact, approx
 
 

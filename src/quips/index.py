@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SubspaceCovariances
-from .train import (Codebook, CodeMatrix, mahalanobis_assign, _assign_tile_rows,
-                    _blocks_of, _per_subspace, _row_tiles)
+from .train import Codebook, CodeMatrix, mahalanobis_assign, _per_subspace
 from .vecstore import (ChunkLayout, DataError, DenseVectorSet, PreprocessSpec,
                        apply_preprocess_rows, pad_to)
 
@@ -72,8 +71,6 @@ class TopNResult:
 _TILE_SCORES = 1 << 15
 # Queries scanned together are capped so their (B, n) scores stay near 64 MB.
 _BLOCK_SCORES = 1 << 23
-# Encoding splits about this many database values (4 MB) at a time into blocks.
-_ENCODE_VALUES = 1 << 19
 
 
 def _rank_top_n(ids: np.ndarray, scores: np.ndarray, N: int) -> TopNResult:
@@ -149,46 +146,42 @@ def encode_database(database: DenseVectorSet, codebook: Codebook,
                     cov: SubspaceCovariances, layout: ChunkLayout) -> CodeMatrix:
     """Assign frozen-codebook codes to (already preprocessed) vectors.
 
-    Rows stream through in chunks of whole assignment tiles (a one-row tail
-    joins the last chunk, as in the tiles), each split into its own blocks, so
-    no second copy of the database is held and every tile's GEMM covers the
-    rows it would cover over the whole database: the codes are the same bits.
-    A chunk's K subspaces are assigned on every usable core.
+    Subspace k is assigned over its column view of the rows, in the
+    assignment's row tiles, so no copy of the database is made and every
+    tile's GEMM reads the rows a contiguous copy of the block would hold: the
+    codes are the same bits (tests/test_index.py pins C- and F-ordered rows).
+    The K subspaces are assigned on every usable core.
     """
     if layout.d_padded != codebook.layout.d_padded:
         raise ValueError("layout does not match codebook")
+    data = pad_to(database.data, layout.d_padded)
     cents = np.asarray(codebook.centroids, dtype=np.float64)
-    tile = _assign_tile_rows(codebook.C)
-    chunk = tile * max(1, _ENCODE_VALUES // (tile * layout.d_padded))
-    codes = np.empty((database.n, layout.K), dtype=np.int32)
-    for lo, hi in _row_tiles(database.n, chunk):
-        blocks = _blocks_of(database.data[lo:hi], layout)
-        codes[lo:hi] = np.stack(_per_subspace(lambda k: mahalanobis_assign(
-            blocks[k], cents[k], cov.matrices[k]), layout.K), axis=1)
-    return CodeMatrix(codes=codes)
+    return CodeMatrix(codes=np.stack(_per_subspace(lambda k: mahalanobis_assign(
+        layout.block(data, k), cents[k], cov.matrices[k]), layout.K), axis=1))
 
 
 def build_lookup_table(q: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """The (K, C) table [k][c] = <q^(k), U_c^(k)> for a preprocessed, padded query.
+    """The (K, C) table [k][c] = <q^(k), U_c^(k)> of a preprocessed, padded
+    query, or the (K, C, B) table [k][c][b] of a (B, d_padded) batch.
 
-    One batched product over the K blocks; it has the same bits as a
-    separate (l,) @ (l, C) product per block (tests/test_index.py holds that
-    loop as the oracle and names the shapes checked).  The query is made
-    contiguous first: a strided row (one row of a column-permuted batch) takes
-    another matmul path and can round differently.
+    One matmul of (C, l) @ (l,) products over the K blocks (and B queries);
+    each entry has the bits of a separate (l,) @ (l, C) product per block and
+    query (tests/test_index.py holds that loop as the oracle and names the
+    shapes checked).  The queries are made contiguous first: a strided row
+    (as in a column-permuted batch) takes another matmul path and can round
+    differently.
     """
     layout = codebook.layout
     q = np.ascontiguousarray(q, dtype=np.float64)
-    if q.shape[-1] != layout.d_padded:
-        raise ValueError(f"query has {q.shape[-1]} dims, layout wants {layout.d_padded}")
+    if q.ndim not in (1, 2) or q.shape[-1] != layout.d_padded:
+        raise ValueError(f"queries have shape {q.shape}; the layout wants {layout.d_padded} dims")
     cents = np.asarray(codebook.centroids, dtype=np.float64)
-    return np.matmul(cents, q.reshape(layout.K, layout.l, 1))[..., 0]
-
-
-def stack_lookup_tables(Qp: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """One (K, C, B) table for B preprocessed queries, stacked from per-query
-    tables: a single GEMM over the batch would round differently."""
-    return np.stack([build_lookup_table(q, codebook) for q in Qp], axis=-1)
+    if q.ndim == 1:
+        return np.matmul(cents, q.reshape(layout.K, layout.l, 1))[..., 0]
+    out = np.empty((layout.K, codebook.C, len(q)))  # C-ordered: table_scores gathers its rows
+    np.matmul(cents[:, None], q.reshape(len(q), layout.K, layout.l, 1).transpose(1, 0, 2, 3),
+              out=out.transpose(0, 2, 1)[..., None])
+    return out
 
 
 def approximate_inner_product(table: np.ndarray, code_row: np.ndarray) -> float:
@@ -267,7 +260,7 @@ def _search(index: QuipIndex, Q: np.ndarray, N: int,
     Qp = apply_preprocess_rows(Q, index.preprocess)
     if probe is None:
         tops = _rank_rows(Qp, index.ids, lambda block: table_scores(
-            stack_lookup_tables(block, index.codebook), index.codes.codes), N)
+            build_lookup_table(block, index.codebook), index.codes.codes), N)
         return ((top, index.n) for top in tops)
     return (_scan_probed(index, qp, N, probe) for qp in Qp)
 

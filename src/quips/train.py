@@ -89,7 +89,7 @@ class ConstraintTriplet:
 # which OpenBLAS runs on its calling thread, so the subspaces that
 # _per_subspace runs on several threads do not contend for BLAS's own threads.
 _TILE_COSTS = 1 << 15
-# Constraint mining scores this many queries per GEMM and per stacked scan.
+# Constraint mining scores this many queries per GEMM and per table scan.
 _MINE_QUERIES = 64
 
 
@@ -251,15 +251,15 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
 
     For each query, pos is the exact argmax over the database; neg is the
     database row with the highest quantized score among those that beat pos's
-    quantized score, the first such row on a tie.  Quantized scores come from the index's scorer.  Queries
-    go in blocks of _MINE_QUERIES: one GEMM gives a block's exact scores and
-    one stacked table scan its quantized scores, so no (|Q|, n) array is
-    built; blocks stop once J inversions are found.  Both sets' rows must be
-    layout.d_padded wide, as preprocessing leaves them.  top1 memoizes each
+    quantized score, the first such row on a tie.  Queries go in blocks of
+    _MINE_QUERIES: one GEMM gives a block's exact scores and the index's
+    scorer (one (K, C, B) table, one scan) its quantized scores, so no
+    (|Q|, n) array is built; blocks stop once J inversions are found.  Both
+    sets' rows must be layout.d_padded wide, as preprocessing leaves them.  top1 memoizes each
     block's exact argmax by block start; a training run passes one dict to
     every round, since its database, queries and seed do not change.
     """
-    from .index import stack_lookup_tables, table_scores
+    from .index import build_lookup_table, table_scores
 
     for name, vs in (("database", database), ("queries", queries)):
         if vs.d != layout.d_padded:
@@ -276,7 +276,7 @@ def find_violated_constraints(codebook: Codebook, codes: CodeMatrix,
         if lo not in top1:
             top1[lo] = np.argmax(block @ db.T, axis=1)
         best = top1[lo]
-        scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
+        scores = table_scores(build_lookup_table(block, codebook), codes.codes)
         # the first row at a query's quantized maximum is its strongest violator
         # whenever that maximum beats pos's score
         rows = np.arange(len(block))
@@ -306,13 +306,13 @@ def constrained_assign(blocks: np.ndarray, centroids: np.ndarray, sigma: np.ndar
     Vectors appearing in no triplet get exactly the unpenalized assignment.
     query_block holds the mined queries' components in this subspace.  The
     penalty has one row per distinct vector named in a triplet, accumulated
-    in triplet order; each q_j . U_c is its own product, since one GEMM over
-    the queries would round differently.
+    in triplet order; each q_j . U_c is its own (C, l) @ (l,) product in one
+    broadcast matmul, since one GEMM over the queries would round differently.
     """
     if not triplets or lam == 0.0:
         return mahalanobis_assign(blocks, centroids, sigma)
     rows, slot = np.unique(_triplet_rows(triplets), return_inverse=True)
-    qtu = np.stack([query_block[j] @ centroids.T for j in range(len(triplets))])
+    qtu = np.matmul(centroids, query_block[:len(triplets), :, None])[..., 0]
     penalty = np.zeros((len(rows), centroids.shape[0]))
     _add_signed(penalty, slot, lam * qtu)
     return _assign_codes(blocks, centroids, sigma, rows, penalty)

@@ -201,8 +201,8 @@ def generate_synthetic(n: int, d: int, norm_spread: float, seed: int) -> DenseVe
     """Unit directions scaled by log-uniform norms over [1, norm_spread]."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if norm_spread < 1:
-        raise ValueError("norm_spread must be >= 1")
+    if not 1 <= norm_spread < np.inf:  # NaN fails too
+        raise ValueError(f"norm_spread must lie in [1, inf); got {norm_spread}")
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

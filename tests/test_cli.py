@@ -47,6 +47,14 @@ class TestSynth:
         vs = load_vectors(out, "fvecs")
         assert vs.data.shape == (15, 6)
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_is_usage_error(self, tmp_path, capsys, spread):
+        out = tmp_path / "v.fvecs"
+        assert main(["synth", "--n", "15", "--d", "6", "--spread", spread,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: norm_spread must lie in [1, inf)")
+        assert not out.exists()
+
     def test_seed_reproducible(self, tmp_path):
         a, b = str(tmp_path / "a.fvecs"), str(tmp_path / "b.fvecs")
         main(["synth", "--n", "10", "--d", "4", "--seed", "7", "--out", a])
@@ -70,6 +78,15 @@ class TestTrain:
         db, qs = vec_files
         out = train_small(tmp_path, db, qs, method="quip-opt", iters=3)
         assert load_index(out).n == 200
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_ridge_not_finite_and_nonnegative_is_usage_error(self, tmp_path, vec_files,
+                                                             capsys, ridge):
+        out = tmp_path / "x.quip"
+        assert main(["train", "--method", "quip-cov-x", "--data", vec_files[0], "--k", "4",
+                     "--c", "8", "--ridge", ridge, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: need a finite ridge >= 0")
+        assert not out.exists()
 
     def test_cov_q_without_queries_is_data_error(self, tmp_path, vec_files):
         db, _ = vec_files
@@ -125,6 +142,18 @@ class TestEncodeSearch:
         for j, q in enumerate(queries.data):
             ids = [int(r["id"]) for r in rows if r["query"] == str(j)]
             assert ids == search_top_n(loaded, q, 5).ids.tolist()
+
+    def test_search_csv_bytes(self, tmp_path, vec_files):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        out = tmp_path / "hits.csv"
+        assert main(["search", "--index", index, "--queries", qs,
+                     "--topn", "7", "--out", str(out)]) == 0
+        ids, scores = search_batch(load_index(index), load_vectors(qs, "fvecs").data, 7)
+        want = "query,rank,id,score\r\n" + "".join(
+            "%d,%d,%d,%.9g\r\n" % (j, r, ids[j, r], scores[j, r])
+            for j in range(len(ids)) for r in range(ids.shape[1]))
+        assert out.read_bytes() == want.encode()
 
     def test_search_rejects_wrong_query_width(self, tmp_path, vec_files, capsys):
         db, _ = vec_files
@@ -403,6 +432,20 @@ class TestEval:
                      "--out-prefix", str(prefix)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: config key") and message in err
+        assert not list(tmp_path.glob("rep.*"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("ridge", float("nan"), "usage error: need a finite ridge >= 0; got nan"),
+        ("spread", float("inf"), "usage error: norm_spread must lie in [1, inf); got inf")])
+    def test_non_finite_config_value_writes_no_report(self, tmp_path, capsys, key, value,
+                                                      message):
+        # JSON as Python reads it takes NaN and Infinity
+        cfg = {"n": 100, "d": 8, "n_queries": 16, "C": 4, "bits": [16], "topN": 5,
+               "iters": 3, "methods": ["quip-cov-x"], "preprocess": "identity", key: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["eval", "--config", str(tmp_path / "cfg.json"), "--out-prefix",
+                     str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.glob("rep.*"))
 
     def test_no_example_query_for_methods_that_need_none(self, tmp_path):

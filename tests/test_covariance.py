@@ -98,6 +98,13 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(cov, -0.1)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_ridge(self, ridge):
+        layout = make_chunk_layout(2, 1)
+        cov = estimate_subspace_covariances(make_set([[1.0, 0.0]]), layout)
+        with pytest.raises(ValueError, match="finite ridge >= 0"):
+            regularize(cov, ridge)
+
     def test_min_eigenvalue_lifted(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 8))  # rank-deficient blocks

@@ -19,7 +19,7 @@ from quips.index import (_rank_rows, _rank_top_n, approximate_inner_product, bui
                          build_lookup_table, code_dtype, encode_database,
                          exact_top_n, id_dtype, load_index, _file_chunks,
                          predicted_file_size, save_index, search_batch, search_top_n,
-                         stack_lookup_tables, table_scores)
+                         table_scores)
 from quips.train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
                          _assign_tile_rows, _blocks_of)
 from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
@@ -137,28 +137,26 @@ def encode_instance(n, d, K, C, kind="permutation", dtype=np.float64, seed=0):
     return vs, cb, cov, layout
 
 
-def encode_sizes(C, d_padded):
-    """Row counts at and around the assignment tile and the encoding chunk."""
+def encode_sizes(C):
+    """Row counts at and around the assignment tile and 8,192-row edges."""
     tile = _assign_tile_rows(C)
-    chunk = tile * max(1, quips.index._ENCODE_VALUES // (tile * d_padded))
-    return sorted({1, 2, tile - 1, tile, tile + 1, chunk - 1, chunk, chunk + 1,
-                   2 * chunk + 1})
+    return sorted({1, 2, tile - 1, tile, tile + 1, 8191, 8192, 8193, 16385})
 
 
 class TestStreamedEncode:
-    """encode_database streams row chunks; its codes must equal the
-    whole-matrix encoding bit for bit."""
+    """encode_database assigns over each subspace's column view of the rows;
+    its codes must equal the encoding of contiguous block copies bit for bit."""
 
     @pytest.mark.parametrize("C", [16, 256, 300])
     def test_equals_whole_matrix(self, C):
-        for n in encode_sizes(C, 64):
+        for n in encode_sizes(C):
             assert_encodes_as_whole_matrix(*encode_instance(n, 64, 8, C))
 
     @pytest.mark.parametrize("C", [256, 300])
     def test_width_64_equals_whole_matrix(self, C):
         # K=1: one 64-wide block, where a differently tiled GEMM could round
         # differently
-        for n in encode_sizes(C, 64)[1::2]:
+        for n in encode_sizes(C)[1::2]:
             assert_encodes_as_whole_matrix(*encode_instance(n, 64, 1, C))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-14])
@@ -166,7 +164,7 @@ class TestStreamedEncode:
         # rows near twin centroids tie to the last bit, so a GEMM over rows
         # off the tile grid (which rounds differently at this width) flips
         # codes
-        n = encode_sizes(300, 64)[-1]
+        n = encode_sizes(300)[-1]
         vs, cb, cov, layout = encode_instance(n, 64, 1, 300)
         rng = np.random.default_rng(1)
         cents = cb.centroids.copy()
@@ -180,26 +178,28 @@ class TestStreamedEncode:
     @pytest.mark.parametrize("kind", PreprocessSpec.KINDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_preprocess_kinds_and_padding(self, kind, dtype):
-        for n in (513, 8193):  # one past a tile, one past a chunk (C=256, 64 wide)
+        for n in (513, 8193):  # one past a tile (C=256) and past 8,192 rows
             assert_encodes_as_whole_matrix(*encode_instance(n, 60, 8, 256, kind, dtype))
 
     @pytest.mark.parametrize("C", [16, 256, 300])
     def test_pool_equals_serial(self, pooled_and_serial, C):
-        for n in encode_sizes(C, 64):
+        for n in encode_sizes(C):
             vs, cb, cov, layout = encode_instance(n, 64, 8, C)
             pooled, serial = pooled_and_serial(
                 lambda: encode_database(vs, cb, cov, layout).codes)
             assert pooled.tobytes() == serial.tobytes(), n
 
     def test_holds_no_copy_of_the_database(self):
-        vs, cb, cov, layout = encode_instance(100_000, 64, 8, 256)
-        tracemalloc.start()
-        try:
-            encode_database(vs, cb, cov, layout)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < vs.data.nbytes / 4
+        for kind in ("permutation", "identity"):  # F- and C-ordered rows
+            vs, cb, cov, layout = encode_instance(100_000, 64, 8, 256, kind)
+            tracemalloc.start()
+            try:
+                encode_database(vs, cb, cov, layout)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the K per-subspace code arrays and their (n, K) stack are 1/8 of it
+            assert peak < vs.data.nbytes / 6, kind
 
 
 class TestLookupTable:
@@ -270,6 +270,42 @@ class TestBatchedLookupTable:
         got = build_lookup_table(q, cb)
         assert got.shape == (K, C)
         assert got.tobytes() == lookup_table_oracle(q, cb).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_batch_matches_per_query_loop(self, data):
+        """A (B, d_padded) batch's (K, C, B) table equals the one-query
+        tables stacked on the last axis, bit for bit.
+
+        Drawn: K in {1, 2, 8, 64}, l in {1, 3, 8, 17, 64}, C in {16, 100,
+        256, 1024}, B in {1, 2, 7, 64, 200} (cut so a table stays under
+        2**21 entries), float32 or float64 centroids, and batches that are
+        C-ordered, F-ordered, column-permuted (as a permutation preprocessing
+        leaves them) or every other row of a larger batch.
+        """
+        K = data.draw(st.sampled_from([1, 2, 8, 64]), label="K")
+        l = data.draw(st.sampled_from([1, 3, 8, 17, 64]), label="l")
+        C = data.draw(st.sampled_from([16, 100, 256, 1024]), label="C")
+        B = data.draw(st.sampled_from([1, 2, 7, 64, 200]), label="B")
+        B = max(1, min(B, (1 << 21) // (K * C)))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        order = data.draw(st.sampled_from(["C", "F", "permuted", "strided"]), label="order")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        cb = Codebook(layout=make_chunk_layout(K * l, K),
+                      centroids=rng.standard_normal((K, C, l)).astype(dtype))
+        Q = rng.standard_normal((2 * B, K * l)) * 10.0 ** rng.integers(-3, 3, (2 * B, 1))
+        Q = {"C": Q[:B], "F": np.asfortranarray(Q[:B]),
+             "permuted": Q[:B, rng.permutation(K * l)], "strided": Q[::2]}[order]
+        got = build_lookup_table(Q, cb)
+        assert got.shape == (K, C, B) and got.flags.c_contiguous
+        want = np.stack([build_lookup_table(q, cb) for q in Q], axis=-1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(13,), (4, 11), (2, 3, 12), ()])
+    def test_rejects_other_shapes(self, shape):
+        _, index = random_index(5, 12, 3, 4, seed=6)  # d_padded 12
+        with pytest.raises(ValueError):
+            build_lookup_table(np.zeros(shape), index.codebook)
 
     @pytest.mark.parametrize("K,C,d", [(3, 1, 10), (3, 4, 12), (8, 16, 64)])
     def test_strided_query_row(self, K, C, d):
@@ -446,7 +482,7 @@ class TestSearchBatch:
         index = _index_for("permutation", 16, n=120)
         Qp = apply_preprocess_rows(np.random.default_rng(2).standard_normal((7, 12)),
                                    index.preprocess)
-        scores = table_scores(stack_lookup_tables(Qp, index.codebook), index.codes.codes)
+        scores = table_scores(build_lookup_table(Qp, index.codebook), index.codes.codes)
         assert scores.shape == (7, 120)
         for b, qp in enumerate(Qp):
             t = build_lookup_table(qp, index.codebook)

@@ -353,6 +353,30 @@ class TestConstrainedAssign:
         out = constrained_assign(blocks, cents, np.eye(2), trips, 1.0, q)
         assert out[0] == 1
 
+    @pytest.mark.parametrize("J", [1, 2, 7, 200])
+    @pytest.mark.parametrize("C", [1, 4, 16, 256, 300])
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 17, 64])
+    def test_penalty_matches_per_triplet_loop(self, monkeypatch, l, C, J):
+        """The penalty handed to the assignment has the bits of one
+        q_j @ U.T product per triplet, for contiguous, float32 and strided
+        query blocks holding more rows than triplets."""
+        rng = np.random.default_rng([l, C, J])
+        blocks, cents = rng.standard_normal((50, l)), rng.standard_normal((C, l)) * 3
+        trips = [ConstraintTriplet(query_id=j, pos_id=int(p), neg_id=int(q))
+                 for j, (p, q) in enumerate(rng.integers(0, 50, (J, 2)))]
+        wide = rng.standard_normal((J + 3, 2 * l)) * 10.0 ** rng.integers(-3, 3, (J + 3, 1))
+        seen = []
+        real = train_module._assign_codes
+        monkeypatch.setattr(train_module, "_assign_codes",
+                            lambda *a: seen.append(a[3:]) or real(*a))
+        for qb in (wide[:, :l].copy(), wide[:, :l].astype(np.float32), wide[:, ::2]):
+            seen.clear()
+            constrained_assign(blocks, cents, np.eye(l), trips, 0.3, qb)
+            (rows, penalty), = seen
+            want_rows, want = loop_penalty(cents, trips, 0.3, qb)
+            assert_bits_equal(rows, want_rows)
+            assert_bits_equal(penalty, want)
+
 
 class TestCentroidGradient:
     def test_stationary_at_mean_no_triplets(self):
@@ -662,6 +686,16 @@ def dense_penalty(n, centroids, triplets, lam, query_block):
     return penalty
 
 
+def loop_penalty(centroids, triplets, lam, query_block):
+    """constrained_assign's penalized rows and penalty, with the per-triplet
+    loop of q_j @ U.T products its one broadcast product replaced."""
+    rows, slot = np.unique(train_module._triplet_rows(triplets), return_inverse=True)
+    qtu = np.stack([query_block[j] @ centroids.T for j in range(len(triplets))])
+    penalty = np.zeros((len(rows), len(centroids)))
+    train_module._add_signed(penalty, slot, lam * qtu)
+    return rows, penalty
+
+
 def add_at_centroids(blocks, codes, C):
     counts = np.bincount(codes, minlength=C)
     sums = np.zeros((C, blocks.shape[1]))
@@ -702,7 +736,7 @@ def per_query_mining(codebook, codes, database, queries, layout, J, seed):
 def viol_mining(codebook, codes, database, queries, layout, J, seed):
     """Blocked mining with a scan per query: neg is the row at the largest
     quantized score among those beating pos's, the first such row on a tie."""
-    from quips.index import stack_lookup_tables, table_scores
+    from quips.index import build_lookup_table, table_scores
     db, qd = database.data, queries.data
     order = np.random.default_rng([seed, 104729]).permutation(queries.n)
     out = []
@@ -711,7 +745,7 @@ def viol_mining(codebook, codes, database, queries, layout, J, seed):
             break
         block = qd[order[lo:hi]]
         best = np.argmax(block @ db.T, axis=1)
-        scores = table_scores(stack_lookup_tables(block, codebook), codes.codes)
+        scores = table_scores(build_lookup_table(block, codebook), codes.codes)
         for j, pos, qs in zip(order[lo:hi], best, scores):
             viol = np.flatnonzero(qs > qs[pos])
             if viol.size:

@@ -128,6 +128,11 @@ class TestSynthetic:
         vs = generate_synthetic(100, 8, 1.0, seed=0)
         np.testing.assert_allclose(np.linalg.norm(vs.data, axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("spread", [0.5, float("nan"), float("inf"), float("-inf")])
+    def test_spread_outside_one_to_inf(self, spread):
+        with pytest.raises(ValueError, match=r"norm_spread must lie in \[1, inf\)"):
+            generate_synthetic(10, 4, spread, seed=0)
+
     def test_deterministic(self):
         a = generate_synthetic(60, 12, 10.0, seed=5)
         b = generate_synthetic(60, 12, 10.0, seed=5)
