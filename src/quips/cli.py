@@ -15,7 +15,6 @@ import numpy as np
 
 from . import evalbench
 from .index import build_index, encode_database, load_index, save_index, search_batch
-from .train import TrainConfig
 from .vecstore import DataError, apply_preprocess, generate_synthetic, load_vectors, save_fvecs
 
 
@@ -92,11 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_for(index, path: str, fmt: str):
-    """The vectors in path, which must be as wide as the index's raw rows."""
+def _load_for(d: int, path: str, fmt: str):
+    """The vectors in path, which must be d wide: as wide as the index's raw rows."""
     vs = load_vectors(path, fmt)
-    if vs.d != index.layout.original_d:
-        raise DataError(f"{path}: {vs.d} dims, the index wants {index.layout.original_d}")
+    if vs.d != d:
+        raise DataError(f"{path}: {vs.d} dims, the index wants {d}")
     return vs
 
 
@@ -119,7 +118,7 @@ def _run(args) -> int:
         print(f"trained {args.method}: n={db.n} K={args.k} C={args.c} -> {args.out}")
     elif args.command == "encode":
         index = load_index(args.index)
-        data = _load_for(index, args.data, args.format)
+        data = _load_for(index.layout.original_d, args.data, args.format)
         dp = apply_preprocess(data, index.preprocess)
         codes = encode_database(dp, index.codebook, index.cov, index.layout)
         new = build_index(dp, index.codebook, codes, index.preprocess, index.cov)
@@ -128,7 +127,7 @@ def _run(args) -> int:
         print(f"encoded {data.n} vectors -> {out}")
     elif args.command == "search":
         index = load_index(args.index)
-        qs = _load_for(index, args.queries, args.format)
+        qs = _load_for(index.layout.original_d, args.queries, args.format)
         ids, scores = search_batch(index, qs.data, args.topn)
         with open(args.out, "w", newline="") as f:  # Python scalars format fastest
             w = csv.writer(f)
@@ -149,14 +148,15 @@ def _run(args) -> int:
         print(f"wrote {args.out_prefix}.csv and {args.out_prefix}.json")
     elif args.command == "theory-check":
         index = load_index(args.index)
-        data, qs = (_load_for(index, path, args.format) for path in (args.data, args.queries))
+        data, qs = (_load_for(index.layout.original_d, path, args.format)
+                    for path in (args.data, args.queries))
         if data.n != index.n:
             raise DataError(f"{args.data}: {data.n} rows, the index holds {index.n}")
         dp, qp = (apply_preprocess(vs, index.preprocess) for vs in (data, qs))
         a = evalbench.concentration_threshold(qp.data, dp.data, args.a_percentile)
         report = evalbench.concentration_check(index, qp, dp.data, a, args.epsilon)
-        # reported, not checked: quip-opt's gradient step moves centroids off
-        # the cell mean, and with them the estimator's unbiasedness
+        # reported, not checked: the freeze rule's re-encode and quip-opt's
+        # gradient step move centroids off the cell mean that unbiasedness needs
         bias = evalbench.unbiasedness_check(index, qp, dp.data, samples=100_000)
         print(json.dumps({**report.to_dict(), "unbiasedness": bias}, indent=2))
         if report.empirical_failure_rate > min(1.0, report.variance_bound) + 1e-12:
@@ -169,18 +169,18 @@ def _run(args) -> int:
         if args.queries and args.topn < 1:
             raise ValueError(f"need --topn >= 1; got {args.topn}")
         db = load_vectors(args.data, args.format)
-        spec, dbp, _, cov = evalbench.prepare_training(
-            "quip-cov-x", db, None, args.k,
-            evalbench.ExperimentConfig(seed=args.seed, preprocess="permutation", ridge=1e-6))
-        cfg = TrainConfig(K=args.k, C=args.c, seed=args.seed)
-        pindex = build_hybrid(dbp, args.partitions, cov, cfg, spec, args.seed)
+        qs = _load_for(db.d, args.queries, args.format) if args.queries else None
+        flat = evalbench.build_quip_pipeline("quip-cov-x", db, None, args.k, args.c,
+                                             evalbench.ExperimentConfig(iters=30, seed=args.seed))
+        pindex = build_hybrid(apply_preprocess(db, flat.preprocess), args.partitions, flat.cov,
+                              None, flat.preprocess, args.seed,
+                              shared_codebook=flat.codebook, shared_codes=flat.codes)
         # the CLI loads ids as row numbers, so the ids are each partition's rows;
         # savez given a path would append ".npz" to it, given a file it does not
         with open(args.out, "wb") as f:
             np.savez(f, centers=pindex.centers, members=pindex.ids.astype(np.int64),
                      offsets=pindex.offsets)
-        if args.queries:
-            qs = load_vectors(args.queries, args.format)
+        if qs is not None:
             res, scanned = hybrid_search(pindex, qs.data[0], args.topn, args.probe)
             print(f"probe={args.probe}: scanned {scanned}/{db.n} candidates "
                   f"for query 0; top id {int(res.ids[0])}")

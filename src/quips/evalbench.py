@@ -14,8 +14,8 @@ import numpy as np
 
 from . import lsh
 from .covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from .index import (QuipIndex, _rank_rows, build_index, build_lookup_table, search_batch,
-                    table_scores)
+from .index import (QuipIndex, _float32_codebook, _rank_rows, build_index, build_lookup_table,
+                    encode_database, search_batch, table_scores)
 from .train import TrainConfig, train_quip, train_quip_opt
 from .vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
                        make_chunk_layout, make_preprocess, pad_to)
@@ -194,14 +194,17 @@ def prepare_training(method: str, database: DenseVectorSet,
 def build_quip_pipeline(method: str, database: DenseVectorSet,
                         example_queries: DenseVectorSet | None, K: int, C: int,
                         cfg: ExperimentConfig) -> QuipIndex:
-    """Train one QUIP variant end to end and freeze it into an index."""
+    """Train one QUIP variant end to end and freeze it into an index.  By the
+    freeze rule the index holds encode_database against its stored float32
+    codebook, not training's codes, so quips encode of its rows changes none."""
     spec, dbp, qsp, cov = prepare_training(method, database, example_queries, K, cfg)
     tc = TrainConfig(K=K, C=C, T=cfg.iters, seed=cfg.seed, lam=cfg.lam, J=cfg.J)
     if method == "quip-opt":
-        cb, codes, _ = train_quip_opt(dbp, qsp, cov, tc)
+        cb = train_quip_opt(dbp, qsp, cov, tc)[0]
     else:
-        cb, codes, _ = train_quip(dbp, cov, tc)
-    return build_index(dbp, cb, codes, spec, cov)
+        cb = train_quip(dbp, cov, tc)[0]
+    cb = _float32_codebook(cb)
+    return build_index(dbp, cb, encode_database(dbp, cb, cov, cb.layout), spec, cov)
 
 
 def lsh_rankings(method: str, database: DenseVectorSet, queries: DenseVectorSet,

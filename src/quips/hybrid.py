@@ -2,7 +2,8 @@
 
 Partitions are learned with plain Euclidean k-means and stored as one
 QuipIndex in partition order (the inverted-file layout): a partition is a
-row slice, and every partition shares the index's one codebook.
+row slice, and every partition shares the index's one codebook, trained
+beforehand (quips hybrid-train trains it with evalbench.build_quip_pipeline).
 index._search does the probing and scanning for hybrid_search.
 """
 
@@ -18,8 +19,7 @@ from .index import (QuipIndex, TopNResult, _float32_codebook, _narrow_codes, _na
 # the hybrid layer's partition choice, and search_top_n is checked by its
 # binding test.
 from .index import assign_query_partitions, search_top_n  # noqa: F401
-from .train import (Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, train_quip,
-                    update_centroids)
+from .train import Codebook, CodeMatrix, TrainConfig, mahalanobis_assign, update_centroids
 from .vecstore import DenseVectorSet, PreprocessSpec
 
 
@@ -106,25 +106,22 @@ def _members(assign: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
 
 
 def build_hybrid(database: DenseVectorSet, P: int, cov: SubspaceCovariances,
-                 cfg: TrainConfig, preprocess: PreprocessSpec, seed: int,
-                 shared_codebook: Codebook | None = None,
+                 cfg: TrainConfig | None, preprocess: PreprocessSpec, seed: int,
+                 shared_codebook: Codebook,
                  shared_codes: CodeMatrix | None = None) -> QuipIndex:
-    """Partition, then quantize every row with the one codebook all
-    partitions share, so probe=P reproduces a flat scan over the same codes.
+    """Partition the rows of a trained codebook, so probe=P reproduces a
+    flat scan over the same codes; it trains no codebook.
 
-    The codebook is shared_codebook, frozen to float32, or else one
-    train_quip run over the whole database.  The codes are shared_codes, or
-    that run's codes, or else encode_database's against shared_codebook;
-    they are gathered into partition order in one fancy index.  Codes are
-    held as code_dtype(C) and ids as id_dtype(ids), as in build_index.
+    The codebook is shared_codebook, frozen to float32.  The codes are
+    shared_codes, or else the freeze rule's encode_database against that
+    float32 codebook; they are gathered into partition order in one fancy
+    index.  Codes are held as code_dtype(C) and ids as id_dtype(ids), as in
+    build_index.  cfg is not read; it stays for callers that pass it by
+    position.
     """
-    if shared_codes is not None and shared_codebook is None:
-        raise ValueError("shared_codes requires shared_codebook")
     centers, membership = train_partitioner(database, P, seed)
     rows = np.concatenate(membership)
     offsets = np.cumsum([0] + [len(m) for m in membership], dtype=np.int64)
-    if shared_codebook is None:
-        shared_codebook, shared_codes, _ = train_quip(database, cov, cfg)
     codebook = _float32_codebook(shared_codebook)
     if shared_codes is None:
         shared_codes = encode_database(database, codebook, cov, codebook.layout)

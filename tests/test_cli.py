@@ -165,6 +165,15 @@ class TestEncodeSearch:
                      "--out", out]) == 2
         assert "4 dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["quip-cov-x", "quip-cov-q", "quip-opt"])
+    def test_encode_of_the_training_data_changes_no_byte(self, tmp_path, vec_files, method):
+        # the freeze rule: a trained index already holds its codebook's codes
+        db, qs = vec_files
+        index = train_small(tmp_path, db, None if method == "quip-cov-x" else qs, method)
+        out = tmp_path / "re.quip"
+        assert main(["encode", "--index", index, "--data", db, "--out", str(out)]) == 0
+        assert out.read_bytes() == Path(index).read_bytes()
+
     def test_encode_new_database(self, tmp_path, vec_files):
         db, _ = vec_files
         index = train_small(tmp_path, db)
@@ -616,6 +625,40 @@ class TestHybridTrain:
         assert min(len(m) for m in membership) < 256
         np.testing.assert_array_equal(off, np.cumsum([0] + [len(m) for m in membership]))
         np.testing.assert_array_equal(members, np.concatenate(membership))
+
+    def test_trains_through_the_pipeline(self, tmp_path, vec_files, monkeypatch, capsys):
+        # quip-cov-x at T=30 with permutation and ridge 1e-6; probing every
+        # partition, the top id is the flat scan's over that index's codes
+        import quips.evalbench as eb
+        calls, real = [], eb.build_quip_pipeline
+        monkeypatch.setattr(eb, "build_quip_pipeline", lambda *a: calls.append(a) or real(*a))
+        db, qs = vec_files
+        assert main(["hybrid-train", "--data", db, "--queries", qs, "--partitions", "4",
+                     "--probe", "4", "--k", "4", "--c", "4",
+                     "--out", str(tmp_path / "p.npz")]) == 0
+        [(method, _, example, K, C, cfg)] = calls
+        assert (method, example, K, C) == ("quip-cov-x", None, 4, 4)
+        assert (cfg.iters, cfg.seed, cfg.preprocess, cfg.ridge) == (30, 0, "permutation", 1e-6)
+        top = search_top_n(real(*calls[0]), load_vectors(qs, "fvecs").data[0], 10).ids[0]
+        assert f"top id {top}\n" in capsys.readouterr().out
+
+    # read before training: a bad query file fails the command and writes no file
+    @pytest.mark.parametrize("queries, message", [
+        ("narrow.fvecs", "4 dims, the index wants 8"),
+        ("missing.fvecs", "No such file or directory")])
+    def test_bad_query_file_is_data_error_before_training(self, tmp_path, vec_files, capsys,
+                                                          queries, message):
+        db, _ = vec_files
+        assert main(["synth", "--n", "5", "--d", "4", "--out",
+                     str(tmp_path / "narrow.fvecs")]) == 0
+        out = tmp_path / "p.npz"
+        capsys.readouterr()
+        assert main(["hybrid-train", "--data", db, "--queries", str(tmp_path / queries),
+                     "--partitions", "4", "--probe", "2", "--k", "4", "--c", "4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert not out.exists()
 
     def test_fewer_rows_than_C_is_usage_error(self, tmp_path, capsys):
         db, out = str(tmp_path / "db.fvecs"), tmp_path / "p.npz"

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import estimate_subspace_covariances, regularize
-from quips.evalbench import (LSH_METHODS, ExperimentConfig, PRCurve, build_quip_pipeline,
+from quips.evalbench import (LSH_METHODS, QUIP_METHODS, ExperimentConfig, PRCurve,
+                             build_quip_pipeline,
                              concentration_check, concentration_threshold, ground_truth,
                              lsh_rankings, precision_recall, prepare_training, run_fixed_bit,
                              run_fixed_time, split_queries, subspace_losses,
                              unbiasedness_check, write_report)
-from quips.index import build_index, exact_top_n, search_batch
+from quips.index import build_index, encode_database, exact_top_n, search_batch
 from quips.lsh import AlshParams, augment_set, l2_encode, srp_encode
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, generate_synthetic,
-                            make_chunk_layout)
+from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
+                            generate_synthetic, make_chunk_layout)
 
 
 def make_set(data, ids=None):
@@ -218,6 +219,36 @@ class TestQueryCovariance:
         cb, codes, _ = train_quip(dbp, eye, TrainConfig(K=K, C=C, T=cfg.iters, seed=seed))
         p["identity"] = self._p_at_r50(build_index(dbp, cb, codes, spec, eye), db, ev)
         assert p["quip-cov-q"] >= max(p["quip-cov-x"], p["identity"]) + 0.05, p
+
+
+class TestFreezeRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pipeline_index_holds_its_codebooks_codes(self, data):
+        """Every index build_quip_pipeline returns holds encode_database of its
+        rows against its stored float32 codebook, whatever the method and the
+        preprocessing: quips encode of the training rows changes no code."""
+        draw = data.draw
+        method = draw(st.sampled_from(QUIP_METHODS), label="method")
+        kind = draw(st.sampled_from(PreprocessSpec.KINDS), label="preprocess")
+        # hadamard_rotation needs K to divide a power of 2
+        K = draw(st.sampled_from((1, 2, 4) if kind == "hadamard_rotation" else (1, 2, 3)),
+                 label="K")
+        d = draw(st.integers(K, 9), label="d")
+        C = draw(st.integers(1, 6), label="C")
+        n = draw(st.integers(C, 40), label="n")
+        seed = draw(st.integers(0, 2 ** 16), label="seed")
+        rng = np.random.default_rng(seed)
+        db = make_set(rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d))
+        ex = make_set(rng.standard_normal((draw(st.integers(2, 12), label="nq"), d)))
+        cfg = ExperimentConfig(iters=draw(st.integers(1, 4), label="iters"), seed=seed,
+                               preprocess=kind, J=draw(st.integers(0, 30), label="J"),
+                               lam=draw(st.sampled_from((0.0, 0.01, 1.0)), label="lam"))
+        index = build_quip_pipeline(method, db, None if method == "quip-cov-x" else ex,
+                                    K, C, cfg)
+        codes = encode_database(apply_preprocess(db, index.preprocess), index.codebook,
+                                index.cov, index.layout)
+        np.testing.assert_array_equal(codes.codes, index.codes.codes)
 
 
 class TestFixedBitReports:

@@ -11,7 +11,8 @@ from quips.covariance import SubspaceCovariances, estimate_subspace_covariances,
 from quips.hybrid import (_kmeanspp_init, _members, assign_query_partitions, build_hybrid,
                           hybrid_search, train_partitioner)
 from quips.index import (QuipIndex, _rank_top_n, build_index, build_lookup_table, code_dtype,
-                         id_dtype, save_index, search_batch, search_top_n, table_scores)
+                         encode_database, id_dtype, save_index, search_batch, search_top_n,
+                         table_scores)
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip
 from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
                             apply_preprocess_rows, make_chunk_layout, make_preprocess)
@@ -300,13 +301,15 @@ class TestHybridSearch:
 
     def test_partitions_smaller_than_C_share_the_trained_codebook(self):
         big = TrainConfig(K=4, C=64, T=3, seed=0)
+        cb = train_quip(self.vs, self.cov, big)[0]
         pindex = build_hybrid(self.vs, P=6, cov=self.cov, cfg=big, preprocess=self.spec,
-                              seed=2)
+                              seed=2, shared_codebook=cb)
         assert np.diff(pindex.offsets).min() < big.C
-        cb, codes, _ = train_quip(self.vs, self.cov, big)
         rows = np.concatenate(train_partitioner(self.vs, 6, 2)[1])
         assert pindex.codebook.centroids.dtype == np.float32
         assert pindex.codebook.centroids.tobytes() == cb.centroids.astype(np.float32).tobytes()
+        # the freeze rule: the rows encoded against the stored float32 codebook
+        codes = encode_database(self.vs, pindex.codebook, self.cov, pindex.layout)
         np.testing.assert_array_equal(pindex.codes.codes, codes.codes[rows])
         flat = build_index(self.vs, cb, codes, self.spec, self.cov)
         ids, scores = search_batch(pindex, self.queries, 10)
@@ -320,7 +323,8 @@ class TestHybridSearch:
 
     def test_scanned_count_is_sum_of_probed_sizes(self):
         pindex = build_hybrid(self.vs, P=6, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=2)
+                              preprocess=self.spec, seed=2,
+                              shared_codebook=train_quip(self.vs, self.cov, self.cfg)[0])
         q = self.queries[0]
         for probe in (1, 3, 6):
             parts = assign_query_partitions(q, pindex.centers, probe)
@@ -330,9 +334,9 @@ class TestHybridSearch:
 
     def test_recall_monotone_in_probe(self):
         small = TrainConfig(K=4, C=4, T=15, seed=0)
-        pindex = build_hybrid(self.vs, P=8, cov=self.cov, cfg=small,
-                              preprocess=self.spec, seed=3)
         flat_cb, flat_codes, _ = train_quip(self.vs, self.cov, small)
+        pindex = build_hybrid(self.vs, P=8, cov=self.cov, cfg=small,
+                              preprocess=self.spec, seed=3, shared_codebook=flat_cb)
         flat = build_index(self.vs, flat_cb, flat_codes, self.spec, self.cov)
         last = -1.0
         for probe in (1, 4, 8):
@@ -348,7 +352,8 @@ class TestHybridSearch:
 
     def test_single_partition_equals_flat_scan(self):
         pindex = build_hybrid(self.vs, P=1, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=0)
+                              preprocess=self.spec, seed=0,
+                              shared_codebook=train_quip(self.vs, self.cov, self.cfg)[0])
         for q in self.queries[:3]:
             res, scanned = hybrid_search(pindex, q, N=7, probe=1)
             ref = search_top_n(pindex, q, 7)
@@ -359,13 +364,15 @@ class TestHybridSearch:
         ids = np.arange(1000, 1200, dtype=np.int64)
         vs = make_set(self.data, ids=ids)
         pindex = build_hybrid(vs, P=4, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=5)
+                              preprocess=self.spec, seed=5,
+                              shared_codebook=train_quip(vs, self.cov, self.cfg)[0])
         res, _ = hybrid_search(pindex, self.queries[0], N=5, probe=4)
         assert all(1000 <= i < 1200 for i in res.ids)
 
     def test_probe_out_of_range(self):
         pindex = build_hybrid(self.vs, P=3, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=0)
+                              preprocess=self.spec, seed=0,
+                              shared_codebook=train_quip(self.vs, self.cov, self.cfg)[0])
         with pytest.raises(ValueError):
             hybrid_search(pindex, self.queries[0], N=5, probe=0)
         with pytest.raises(ValueError):
@@ -391,7 +398,8 @@ class TestHybridSearchPreprocessed:
 
     def test_probe_one_scans_the_query_blob(self):
         pindex = build_hybrid(self.dbp, P=4, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=0)
+                              preprocess=self.spec, seed=0,
+                              shared_codebook=train_quip(self.dbp, self.cov, self.cfg)[0])
         for q, label in zip(self.queries, self.query_labels):
             res, scanned = hybrid_search(pindex, q, N=5, probe=1)
             assert scanned == 50
@@ -439,7 +447,8 @@ class TestContiguousLayout:
 
     def test_membership_and_partitions_are_views(self):
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
-                              preprocess=self.spec, seed=2)
+                              preprocess=self.spec, seed=2,
+                              shared_codebook=train_quip(self.vs, self.cov, self.cfg)[0])
         _, expect = train_partitioner(self.vs, 4, 2)
         for p, members in enumerate(expect):
             lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
@@ -448,11 +457,8 @@ class TestContiguousLayout:
             assert part.codebook is pindex.codebook
             np.testing.assert_array_equal(part.codes.codes, pindex.codes.codes[lo:hi])
 
-    # given: the codebook is passed in and the rows encoded against it;
-    # otherwise build_hybrid trains it and keeps the training codes
-    @pytest.mark.parametrize("given", [True, False])
-    def test_save_refuses_more_than_one_partition(self, tmp_path, given):
-        cb = train_quip(self.vs, self.cov, self.cfg)[0] if given else None
+    def test_save_refuses_more_than_one_partition(self, tmp_path):
+        cb = train_quip(self.vs, self.cov, self.cfg)[0]
         pindex = build_hybrid(self.vs, P=4, cov=self.cov, cfg=self.cfg,
                               preprocess=self.spec, seed=2, shared_codebook=cb)
         path = tmp_path / "p.quip"
@@ -460,14 +466,13 @@ class TestContiguousLayout:
             save_index(pindex, str(path))
         assert not path.exists()
 
-    @pytest.mark.parametrize("given", [True, False])
-    def test_one_row_partitions(self, given):
+    def test_one_row_partitions(self):
         data = np.random.default_rng(1).standard_normal((8, 4))
         vs = make_set(data)
         layout = make_chunk_layout(4, 2)
         cov = regularize(estimate_subspace_covariances(vs, layout), 1e-6)
         cfg = TrainConfig(K=2, C=1, T=2, seed=0)
-        cb = train_quip(vs, cov, cfg)[0] if given else None
+        cb = train_quip(vs, cov, cfg)[0]
         pindex = build_hybrid(vs, P=8, cov=cov, cfg=cfg, seed=0, shared_codebook=cb,
                               preprocess=PreprocessSpec(kind="identity", seed=0,
                                                         d_padded=4))
