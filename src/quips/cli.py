@@ -169,6 +169,9 @@ def _run(args) -> int:
         if args.queries and args.topn < 1:
             raise ValueError(f"need --topn >= 1; got {args.topn}")
         db = load_vectors(args.data, args.format)
+        # the partitioner's own check, made before the codebook is trained
+        if not 1 <= args.partitions <= db.n:
+            raise ValueError(f"need 1 <= P <= n; got P={args.partitions}, n={db.n}")
         qs = _load_for(db.d, args.queries, args.format) if args.queries else None
         flat = evalbench.build_quip_pipeline("quip-cov-x", db, None, args.k, args.c,
                                              evalbench.ExperimentConfig(iters=30, seed=args.seed))

@@ -384,16 +384,22 @@ def concentration_check(index: QuipIndex, queries: DenseVectorSet,
     relative-epsilon band, against the variance-based upper bound: a union
     bound over the K subspaces, with Chebyshev for each at epsilon*a/K, gives
     K^3 max_k loss_k / (n a^2 epsilon^2), where loss_k / n is subspace k's
-    mean squared error per (query, row) pair."""
-    if a <= 0 or epsilon <= 0:
-        raise ValueError("a and epsilon must be positive")
+    mean squared error per (query, row) pair.  a and epsilon must be finite
+    and positive, and n a^2 epsilon^2 must not underflow to 0."""
+    if not (0 < a < np.inf and 0 < epsilon < np.inf):  # NaN fails too
+        raise ValueError(f"a and epsilon must be finite and positive; got a={a}, "
+                         f"epsilon={epsilon}")
+    scale = index.n * a * a * epsilon * epsilon
+    if scale == 0:
+        raise ValueError(f"epsilon={epsilon} is too small: n a^2 epsilon^2 underflows to 0 "
+                         f"(a={a}, n={index.n})")
     layout = index.layout
     exact, approx = _pair_errors(index, queries, db_data)
     lo, hi = exact * (1.0 - epsilon), exact * (1.0 + epsilon)
     fails = (exact > a) & ((approx < lo) | (approx > hi))
     rate = float(fails.sum()) / exact.size
     losses = subspace_losses(index, queries, db_data)
-    bound = layout.K ** 3 * float(losses.max()) / (index.n * a * a * epsilon * epsilon)
+    bound = layout.K ** 3 * float(losses.max()) / scale
     qp = pad_to(queries.data, layout.d_padded)
     q_max = max(float(np.max(np.linalg.norm(layout.block(qp, k), axis=1)))
                 for k in range(layout.K))

@@ -549,6 +549,18 @@ class TestTheoryCheck:
         assert main(["theory-check", "--index", index, "--data", db,
                      "--queries", qs]) == 3
 
+    # a NaN or infinite epsilon printed NaN or Infinity, which is not JSON, and
+    # 1e-200 divided by an n a^2 epsilon^2 that underflows to 0
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e-200"])
+    def test_epsilon_must_be_finite_and_positive(self, tmp_path, vec_files, capsys, epsilon):
+        db, qs = vec_files
+        index = train_small(tmp_path, db)
+        capsys.readouterr()  # drop the training log line
+        assert main(["theory-check", "--index", index, "--data", db, "--queries", qs,
+                     "--epsilon", epsilon]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:") and "epsilon" in err
+
     @pytest.fixture
     def wide_index(self, tmp_path):
         """A 16-wide index over 600 rows."""
@@ -658,6 +670,23 @@ class TestHybridTrain:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("partitions", [0, 201])
+    def test_partitions_checked_before_training(self, tmp_path, vec_files, capsys, monkeypatch,
+                                                partitions):
+        import quips.evalbench as eb
+
+        def pipeline(*args):
+            raise AssertionError("hybrid-train trained before it checked --partitions")
+
+        monkeypatch.setattr(eb, "build_quip_pipeline", pipeline)
+        db, _ = vec_files  # 200 rows
+        out = tmp_path / "p.npz"
+        assert main(["hybrid-train", "--data", db, "--partitions", str(partitions), "--k", "4",
+                     "--c", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"usage error: need 1 <= P <= n; "
+                                           f"got P={partitions}, n=200\n")
         assert not out.exists()
 
     def test_fewer_rows_than_C_is_usage_error(self, tmp_path, capsys):

@@ -4,10 +4,7 @@ import pytest
 from quips.covariance import estimate_subspace_covariances, regularize
 from quips.vecstore import DenseVectorSet, make_chunk_layout
 
-
-def make_set(data):
-    data = np.asarray(data, dtype=np.float64)
-    return DenseVectorSet(data=data, ids=np.arange(len(data), dtype=np.int64))
+from reference import make_set
 
 
 def test_single_vector_outer_product():

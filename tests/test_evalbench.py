@@ -8,24 +8,17 @@ from hypothesis import strategies as st
 
 import quips.index
 from quips.covariance import estimate_subspace_covariances, regularize
-from quips.evalbench import (LSH_METHODS, QUIP_METHODS, ExperimentConfig, PRCurve,
-                             build_quip_pipeline,
+from quips.evalbench import (LSH_METHODS, ExperimentConfig, PRCurve, build_quip_pipeline,
                              concentration_check, concentration_threshold, ground_truth,
                              lsh_rankings, precision_recall, prepare_training, run_fixed_bit,
                              run_fixed_time, split_queries, subspace_losses,
                              unbiasedness_check, write_report)
-from quips.index import build_index, encode_database, exact_top_n, search_batch
-from quips.lsh import AlshParams, augment_set, l2_encode, srp_encode
+from quips.index import build_index, exact_top_n, search_batch
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip, _blocks_of
-from quips.vecstore import (DataError, DenseVectorSet, PreprocessSpec, apply_preprocess,
-                            generate_synthetic, make_chunk_layout)
+from quips.vecstore import DataError, PreprocessSpec, generate_synthetic, make_chunk_layout
 
-
-def make_set(data, ids=None):
-    data = np.asarray(data, dtype=np.float64)
-    if ids is None:
-        ids = np.arange(len(data), dtype=np.int64)
-    return DenseVectorSet(data=data, ids=np.asarray(ids, dtype=np.int64))
+import reference
+from reference import make_set
 
 
 def exact_index(data, K):
@@ -85,24 +78,6 @@ class TestGroundTruth:
         np.testing.assert_array_equal(truth, oracle)
 
 
-def lsh_ranking_oracle(method, db, qs, bits, seed):
-    """Per-query rankings from per-row hash comparisons: unpacked bits or
-    bucket equality, then a full lexsort by score and id."""
-    params, scheme = AlshParams(), method.replace("-", "_")
-    mx = float(np.max(np.linalg.norm(db.data, axis=1)))
-    d_aug, q_aug = (augment_set(vs.data, scheme, side, params, mx)
-                    for vs, side in ((db, "database"), (qs, "query")))
-    if method == "l2-alsh":
-        d_codes, q_codes = (l2_encode(a, max(bits // 8, 1), params.r_lsh, seed)
-                            for a in (d_aug, q_aug))
-        scores = [(qc == d_codes).sum(axis=1) for qc in q_codes]
-    else:
-        d_bits, q_bits = (np.unpackbits(srp_encode(a, bits, seed).packed, axis=1)[:, :bits]
-                          for a in (d_aug, q_aug))
-        scores = [-(qb != d_bits).sum(axis=1) for qb in q_bits]
-    return np.stack([db.ids[np.lexsort((db.ids, -s))] for s in scores])
-
-
 class TestLshRankings:
     @pytest.mark.parametrize("bits", [8, 24, 72])
     @pytest.mark.parametrize("method", LSH_METHODS)
@@ -112,7 +87,7 @@ class TestLshRankings:
         db = make_set(generate_synthetic(150, 6, 10.0, 0).data, ids=rng.permutation(150) + 9)
         qs = generate_synthetic(12, 6, 10.0, 1)
         ranked = lsh_rankings(method, db, qs, bits, seed=3)
-        np.testing.assert_array_equal(ranked, lsh_ranking_oracle(method, db, qs, bits, 3))
+        np.testing.assert_array_equal(ranked, reference.lsh_ranking(method, db, qs, bits, 3))
 
 
 class TestPrecisionRecall:
@@ -219,36 +194,6 @@ class TestQueryCovariance:
         cb, codes, _ = train_quip(dbp, eye, TrainConfig(K=K, C=C, T=cfg.iters, seed=seed))
         p["identity"] = self._p_at_r50(build_index(dbp, cb, codes, spec, eye), db, ev)
         assert p["quip-cov-q"] >= max(p["quip-cov-x"], p["identity"]) + 0.05, p
-
-
-class TestFreezeRule:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_pipeline_index_holds_its_codebooks_codes(self, data):
-        """Every index build_quip_pipeline returns holds encode_database of its
-        rows against its stored float32 codebook, whatever the method and the
-        preprocessing: quips encode of the training rows changes no code."""
-        draw = data.draw
-        method = draw(st.sampled_from(QUIP_METHODS), label="method")
-        kind = draw(st.sampled_from(PreprocessSpec.KINDS), label="preprocess")
-        # hadamard_rotation needs K to divide a power of 2
-        K = draw(st.sampled_from((1, 2, 4) if kind == "hadamard_rotation" else (1, 2, 3)),
-                 label="K")
-        d = draw(st.integers(K, 9), label="d")
-        C = draw(st.integers(1, 6), label="C")
-        n = draw(st.integers(C, 40), label="n")
-        seed = draw(st.integers(0, 2 ** 16), label="seed")
-        rng = np.random.default_rng(seed)
-        db = make_set(rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d))
-        ex = make_set(rng.standard_normal((draw(st.integers(2, 12), label="nq"), d)))
-        cfg = ExperimentConfig(iters=draw(st.integers(1, 4), label="iters"), seed=seed,
-                               preprocess=kind, J=draw(st.integers(0, 30), label="J"),
-                               lam=draw(st.sampled_from((0.0, 0.01, 1.0)), label="lam"))
-        index = build_quip_pipeline(method, db, None if method == "quip-cov-x" else ex,
-                                    K, C, cfg)
-        codes = encode_database(apply_preprocess(db, index.preprocess), index.codebook,
-                                index.cov, index.layout)
-        np.testing.assert_array_equal(codes.codes, index.codes.codes)
 
 
 class TestFixedBitReports:
@@ -490,6 +435,11 @@ class TestConcentration:
             concentration_check(index, qs, data, a=0.0, epsilon=0.1)
         with pytest.raises(ValueError):
             concentration_check(index, qs, data, a=0.1, epsilon=-1.0)
+        # NaN, infinity, and an epsilon whose n a^2 epsilon^2 (10 * 1e-2 * 1e-400,
+        # the bound's denominator) underflows to 0
+        for epsilon in (np.nan, np.inf, 1e-200):
+            with pytest.raises(ValueError, match=f"epsilon={epsilon}"):
+                concentration_check(index, qs, data, a=0.1, epsilon=epsilon)
 
     def test_to_dict_serializable(self):
         rng = np.random.default_rng(20)

@@ -8,21 +8,16 @@ from hypothesis import strategies as st
 import quips.hybrid
 import quips.index
 from quips.covariance import SubspaceCovariances, estimate_subspace_covariances, regularize
-from quips.hybrid import (_kmeanspp_init, _members, assign_query_partitions, build_hybrid,
+from quips.hybrid import (_kmeanspp_init, assign_query_partitions, build_hybrid,
                           hybrid_search, train_partitioner)
-from quips.index import (QuipIndex, _rank_top_n, build_index, build_lookup_table, code_dtype,
-                         encode_database, id_dtype, save_index, search_batch, search_top_n,
-                         table_scores)
+from quips.index import (QuipIndex, build_index, code_dtype, encode_database, id_dtype,
+                         save_index, search_batch, search_top_n)
 from quips.train import Codebook, CodeMatrix, TrainConfig, train_quip
-from quips.vecstore import (DenseVectorSet, PreprocessSpec, apply_preprocess,
-                            apply_preprocess_rows, make_chunk_layout, make_preprocess)
+from quips.vecstore import (PreprocessSpec, apply_preprocess, apply_preprocess_rows,
+                            make_chunk_layout, make_preprocess)
 
-
-def make_set(data, ids=None):
-    data = np.asarray(data, dtype=np.float64)
-    if ids is None:
-        ids = np.arange(len(data), dtype=np.int64)
-    return DenseVectorSet(data=data, ids=np.asarray(ids, dtype=np.int64))
+import reference
+from reference import make_set
 
 
 def blob_data(seed=0, per=40, d=6, centers=4, spread=0.05):
@@ -33,18 +28,13 @@ def blob_data(seed=0, per=40, d=6, centers=4, spread=0.05):
     return data, labels
 
 
-def per_partition_search(pindex, q, N, probe):
-    """The algorithm the contiguous scan replaced: one table, one scan per
-    probed partition in probe order, scores concatenated, one selection."""
-    qp = apply_preprocess_rows(q, pindex.preprocess)
-    table = build_lookup_table(qp, pindex.codebook)
-    ids, scores = [], []
-    for p in assign_query_partitions(qp, pindex.centers, probe):
-        lo, hi = pindex.offsets[p], pindex.offsets[p + 1]
-        scores.append(table_scores(table, pindex.codes.codes[lo:hi]))
-        ids.append(pindex.ids[lo:hi])
-    ids = np.concatenate(ids)
-    return _rank_top_n(ids, np.concatenate(scores), N), len(ids)
+def reference_probe(pindex, q, N, probe):
+    """reference.probe_search over pindex's partitions, for a raw query
+    preprocessed by the index's own transform."""
+    members = [np.arange(lo, hi) for lo, hi in zip(pindex.offsets[:-1], pindex.offsets[1:])]
+    return reference.probe_search(apply_preprocess_rows(q, pindex.preprocess), pindex.centers,
+                                  members, pindex.codes.codes, pindex.ids,
+                                  pindex.codebook.centroids, N, probe)
 
 
 def partition_index(pindex, p):
@@ -116,52 +106,6 @@ class TestPartitioner:
             train_partitioner(make_set(np.ones((3, 2))), P=2, seed=0, iters=iters)
 
 
-def doubled_data_partitioner(data, P, seed, iters=25):
-    """train_partitioner with the cross term as (2x) . c over a doubled copy
-    of the data; also counts the empty clusters it repaired."""
-    n = data.shape[0]
-    centers = _kmeanspp_init(data, P, np.random.default_rng(seed))
-    norms = np.sum(data ** 2, axis=1, keepdims=True)
-    twice = 2.0 * data
-    d2 = np.empty((n, P))
-    assign = np.full(n, -1, dtype=np.int64)
-    repaired = 0
-    for _ in range(iters):
-        np.subtract(norms, np.matmul(twice, centers.T, out=d2), out=d2)
-        d2 += np.sum(centers ** 2, axis=1)
-        new_assign = np.argmin(d2, axis=1)
-        counts = np.bincount(new_assign, minlength=P)
-        for p in np.flatnonzero(counts == 0):
-            big = np.argmax(counts)
-            members = np.flatnonzero(new_assign == big)
-            new_assign[members[np.argmax(d2[members, big])]] = p
-            counts[big] -= 1
-            counts[p] += 1
-            repaired += 1
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for p, members in enumerate(_members(assign, counts)):
-            centers[p] = data[members].mean(axis=0)
-    return centers, _members(assign, np.bincount(assign, minlength=P)), repaired
-
-
-def kmeanspp_oracle(data, P, rng):
-    """k-means++ seeding in whole-matrix form: two (n, d) temporaries per center."""
-    n = data.shape[0]
-    centers = np.empty((P, data.shape[1]))
-    centers[0] = data[rng.integers(n)]
-    d2 = np.sum((data - centers[0]) ** 2, axis=1)
-    for p in range(1, P):
-        total = d2.sum()
-        if total <= 0:
-            centers[p] = data[rng.integers(n)]
-            continue
-        centers[p] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((data - centers[p]) ** 2, axis=1))
-    return centers
-
-
 # the partitioner's shapes, each with the seed it is drawn and seeded with
 PARTITIONER_SHAPES = [(300, 6, 7, 0), (2000, 64, 20, 1), (1000, 17, 50, 2), (50, 3, 50, 3),
                       (5000, 64, 100, 4)]
@@ -174,7 +118,7 @@ class TestKmeansppSeeding:
         data = np.asarray(np.random.default_rng(seed).standard_normal((n, d)) * 3,
                           order=order)
         got = _kmeanspp_init(data, P, np.random.default_rng(seed))
-        want = kmeanspp_oracle(data, P, np.random.default_rng(seed))
+        want = reference.kmeanspp(data, P, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
     def test_repeated_rows(self):
@@ -182,7 +126,7 @@ class TestKmeansppSeeding:
         data = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]]), 10, axis=0)
         for seed in range(5):
             got = _kmeanspp_init(data, 6, np.random.default_rng(seed))
-            want = kmeanspp_oracle(data, 6, np.random.default_rng(seed))
+            want = reference.kmeanspp(data, 6, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order, limit", [("F", 1.0), ("C", 1.5)])
@@ -209,7 +153,7 @@ class TestPartitionerBits:
         data = np.asarray(np.random.default_rng(seed).standard_normal((n, d)) * 3,
                           order=order)
         centers, membership = train_partitioner(make_set(data), P, seed)
-        want_centers, want_membership, _ = doubled_data_partitioner(data, P, seed)
+        want_centers, want_membership, _ = reference.partition(data, P, seed)
         assert centers.tobytes() == want_centers.tobytes()
         assert len(membership) == len(want_membership)
         for got, want in zip(membership, want_membership):
@@ -220,7 +164,7 @@ class TestPartitionerBits:
         # the first assignment leaves clusters empty
         data = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]]), 10, axis=0)
         centers, membership = train_partitioner(make_set(data), 6, 0)
-        want_centers, want_membership, repaired = doubled_data_partitioner(data, 6, 0)
+        want_centers, want_membership, repaired = reference.partition(data, 6, 0)
         assert repaired > 0
         assert centers.tobytes() == want_centers.tobytes()
         for got, want in zip(membership, want_membership):
@@ -248,9 +192,7 @@ class TestQueryAssignment:
         centers = rng.standard_normal((10, 4))
         q = rng.standard_normal(4)
         got = assign_query_partitions(q, centers, probe=10)
-        dots = centers @ q
-        expect = np.lexsort((np.arange(10), -dots))
-        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(got, reference.probe(q, centers, 10))
 
     def test_top_one(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
@@ -480,9 +422,9 @@ class TestContiguousLayout:
         for q in np.random.default_rng(2).standard_normal((4, 4)):
             for probe in (1, 3, 8):
                 res, scanned = hybrid_search(pindex, q, 3, probe)
-                ref, ref_scanned = per_partition_search(pindex, q, 3, probe)
-                np.testing.assert_array_equal(res.ids, ref.ids)
-                assert res.scores.tobytes() == ref.scores.tobytes()
+                ref_ids, ref_scores, ref_scanned = reference_probe(pindex, q, 3, probe)
+                np.testing.assert_array_equal(res.ids, ref_ids)
+                assert res.scores.tobytes() == ref_scores.tobytes()
                 assert scanned == ref_scanned == probe
 
 
@@ -520,9 +462,9 @@ class TestHybridMatchesPerPartitionScan:
         Q = rng.standard_normal((3, d))
         for q in Q:
             res, scanned = hybrid_search(pindex, q, N, probe)
-            ref, ref_scanned = per_partition_search(pindex, q, N, probe)
-            np.testing.assert_array_equal(res.ids, ref.ids)
-            assert res.scores.tobytes() == ref.scores.tobytes()
+            ref_ids, ref_scores, ref_scanned = reference_probe(pindex, q, N, probe)
+            np.testing.assert_array_equal(res.ids, ref_ids)
+            assert res.scores.tobytes() == ref_scores.tobytes()
             assert scanned == ref_scanned
         # every row of the store, in partition order, equals the flat index
         # over the same codes and ids, and so does probing every partition

@@ -7,25 +7,8 @@ from quips.lsh import (AlshParams, augment_set, bucket_match_search,
                        hamming_search, l2_alsh_augment, l2_encode,
                        signed_alsh_augment, simple_lsh_augment, srp_encode)
 
-
-def per_row_augment(v, scheme, side, p, max_norm):
-    """One row's augmentation, its norm from np.linalg.norm and np.dot."""
-    if side == "query":
-        if scheme == "simple_lsh":
-            return np.concatenate([v / np.linalg.norm(v), [0.0]])
-        return np.concatenate([v, np.full(p.m, 0.5 if scheme == "l2_alsh" else 0.0)])
-    if scheme == "simple_lsh":
-        x = v / max_norm
-        return np.concatenate([x, [np.sqrt(max(1.0 - float(np.dot(x, x)), 0.0))]])
-    x = p.U0 * v / max_norm
-    powers = np.linalg.norm(x) ** (2.0 ** np.arange(1, p.m + 1))
-    return np.concatenate([x, powers if scheme == "l2_alsh" else 0.5 - powers])
-
-
-def l2_hash(v: np.ndarray, projection: np.ndarray, offset: float,
-            r_lsh: float) -> int:
-    """floor((P.v + b) / r); floor, not truncation, for negative projections."""
-    return int(np.floor((float(projection @ v) + offset) / r_lsh))
+import reference
+from reference import l2_hash
 
 
 class TestL2Augment:
@@ -135,7 +118,7 @@ class TestAugmentSet:
         p = AlshParams()
         mx = float(np.linalg.norm(data, axis=1).max())
         got = augment_set(data, scheme, side, p, mx)
-        want = np.stack([per_row_augment(v, scheme, side, p, mx) for v in data])
+        want = np.stack([reference.augment(v, scheme, side, p, mx) for v in data])
         assert got.tobytes() == want.tobytes()
 
 

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import sys
@@ -16,12 +17,10 @@ from quips.train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                          penalized_objective, subspace_objective,
                          train_quip, train_quip_opt, update_centroids,
                          _blocks_of, _hinge_gradient, _init_centroids, _reseed_empty)
-from quips.vecstore import DenseVectorSet, make_chunk_layout
+from quips.vecstore import make_chunk_layout
 
-
-def make_set(data):
-    data = np.asarray(data, dtype=np.float64)
-    return DenseVectorSet(data=data, ids=np.arange(len(data), dtype=np.int64))
+import reference
+from reference import make_set
 
 
 def database_cov(data, K, ridge=0.0):
@@ -357,9 +356,9 @@ class TestConstrainedAssign:
     @pytest.mark.parametrize("C", [1, 4, 16, 256, 300])
     @pytest.mark.parametrize("l", [1, 2, 3, 8, 17, 64])
     def test_penalty_matches_per_triplet_loop(self, monkeypatch, l, C, J):
-        """The penalty handed to the assignment has the bits of one
-        q_j @ U.T product per triplet, for contiguous, float32 and strided
-        query blocks holding more rows than triplets."""
+        """The penalty handed to the assignment holds the reference's dense
+        penalty at the rows the triplets name, bit for bit, for contiguous,
+        float32 and strided query blocks holding more rows than triplets."""
         rng = np.random.default_rng([l, C, J])
         blocks, cents = rng.standard_normal((50, l)), rng.standard_normal((C, l)) * 3
         trips = [ConstraintTriplet(query_id=j, pos_id=int(p), neg_id=int(q))
@@ -373,9 +372,10 @@ class TestConstrainedAssign:
             seen.clear()
             constrained_assign(blocks, cents, np.eye(l), trips, 0.3, qb)
             (rows, penalty), = seen
-            want_rows, want = loop_penalty(cents, trips, 0.3, qb)
+            # the penalized rows are those the triplets name, ascending
+            want_rows = np.unique([(t.neg_id, t.pos_id) for t in trips])
             assert_bits_equal(rows, want_rows)
-            assert_bits_equal(penalty, want)
+            assert_bits_equal(penalty, reference.penalty(50, cents, trips, 0.3, qb)[want_rows])
 
 
 class TestCentroidGradient:
@@ -664,109 +664,7 @@ class TestUnbiasedness:
 
 
 # ---------------------------------------------------------------------------
-# tiled kernels against the whole-matrix code they replaced, bit for bit
-
-
-def whole_matrix_assign(blocks, centroids, sigma, penalty=None):
-    """The (n, C) cost matrix, an optional dense penalty, one argmin."""
-    su = centroids @ sigma
-    quad = np.einsum("cl,cl->c", su, centroids)
-    costs = quad[None, :] - 2.0 * blocks @ su.T
-    if penalty is not None:
-        costs = costs + penalty
-    return np.argmin(costs, axis=1).astype(np.int32)
-
-
-def dense_penalty(n, centroids, triplets, lam, query_block):
-    penalty = np.zeros((n, len(centroids)))
-    for j, trip in enumerate(triplets):
-        qTu = query_block[j] @ centroids.T
-        penalty[trip.neg_id] += lam * qTu
-        penalty[trip.pos_id] -= lam * qTu
-    return penalty
-
-
-def loop_penalty(centroids, triplets, lam, query_block):
-    """constrained_assign's penalized rows and penalty, with the per-triplet
-    loop of q_j @ U.T products its one broadcast product replaced."""
-    rows, slot = np.unique(train_module._triplet_rows(triplets), return_inverse=True)
-    qtu = np.stack([query_block[j] @ centroids.T for j in range(len(triplets))])
-    penalty = np.zeros((len(rows), len(centroids)))
-    train_module._add_signed(penalty, slot, lam * qtu)
-    return rows, penalty
-
-
-def add_at_centroids(blocks, codes, C):
-    counts = np.bincount(codes, minlength=C)
-    sums = np.zeros((C, blocks.shape[1]))
-    np.add.at(sums, codes, blocks)
-    nz = counts > 0
-    centroids = np.zeros_like(sums)
-    centroids[nz] = sums[nz] / counts[nz, None]
-    return centroids, [c for c in range(C) if counts[c] == 0]
-
-
-def loop_hinge_gradient(centroids, codes, triplets, lam, query_block):
-    grad = np.zeros(centroids.shape)
-    for j, trip in enumerate(triplets):
-        grad[codes[trip.neg_id]] += lam * query_block[j]
-        grad[codes[trip.pos_id]] -= lam * query_block[j]
-    return grad
-
-
-def per_query_mining(codebook, codes, database, queries, layout, J, seed):
-    """The (|Q|, n) exact matrix and one table scan per query."""
-    from quips.index import build_lookup_table, table_scores
-    from quips.vecstore import pad_to
-    db = pad_to(database.data, layout.d_padded)
-    qd = pad_to(queries.data, layout.d_padded)
-    exact = qd @ db.T
-    out = []
-    for j in np.random.default_rng([seed, 104729]).permutation(queries.n):
-        if len(out) >= J:
-            break
-        pos = int(np.argmax(exact[j]))
-        qs = table_scores(build_lookup_table(qd[j], codebook), codes.codes)
-        viol = np.flatnonzero(qs > qs[pos])
-        if viol.size:
-            out.append(ConstraintTriplet(int(j), pos, int(viol[np.argmax(qs[viol])])))
-    return out
-
-
-def viol_mining(codebook, codes, database, queries, layout, J, seed):
-    """Blocked mining with a scan per query: neg is the row at the largest
-    quantized score among those beating pos's, the first such row on a tie."""
-    from quips.index import build_lookup_table, table_scores
-    db, qd = database.data, queries.data
-    order = np.random.default_rng([seed, 104729]).permutation(queries.n)
-    out = []
-    for lo, hi in train_module._row_tiles(len(order), train_module._MINE_QUERIES):
-        if len(out) >= J:
-            break
-        block = qd[order[lo:hi]]
-        best = np.argmax(block @ db.T, axis=1)
-        scores = table_scores(build_lookup_table(block, codebook), codes.codes)
-        for j, pos, qs in zip(order[lo:hi], best, scores):
-            viol = np.flatnonzero(qs > qs[pos])
-            if viol.size:
-                neg = int(viol[np.argmax(qs[viol])])
-                out.append(ConstraintTriplet(query_id=int(j), pos_id=int(pos), neg_id=neg))
-                if len(out) >= J:
-                    break
-    return out
-
-
-def loop_penalized_objective(cents, codes, db_blocks, cov, triplets, q_blocks, lam):
-    """The penalized objective with one q @ diff per triplet and subspace."""
-    obj = sum(subspace_objective(db_blocks[k], cents[k], codes[:, k], cov.matrices[k])
-              for k in range(len(cents)))
-    for trip in triplets:
-        margin = 0.0
-        for k in range(len(cents)):
-            diff = cents[k][codes[trip.neg_id, k]] - cents[k][codes[trip.pos_id, k]]
-            margin += float(q_blocks[k][trip.query_id] @ diff)
-        obj += lam * max(margin, 0.0)
-    return obj
+# tiled kernels against the reference's whole-matrix code, bit for bit
 
 
 def assert_bits_equal(a, b):
@@ -809,7 +707,7 @@ class TestRowTiles:
         blocks, cents = rng.standard_normal((1537, 8)), rng.standard_normal((256, 8))
         sigma = np.cov(blocks.T)
         assert_bits_equal(mahalanobis_assign(blocks, cents, sigma),
-                          whole_matrix_assign(blocks, cents, sigma))
+                          reference.assign(blocks, cents, sigma))
 
 
 class TestBlocksOf:
@@ -834,7 +732,7 @@ class TestTiledKernels:
     def test_assign_matches_whole_matrix(self, n, l):
         blocks, cents, sigma = kernel_instance(n, l)
         assert_bits_equal(mahalanobis_assign(blocks, cents, sigma),
-                          whole_matrix_assign(blocks, cents, sigma))
+                          reference.assign(blocks, cents, sigma))
 
     @pytest.mark.parametrize("n", EDGE_SIZES)
     def test_tied_centroids_lowest_wins(self, n):
@@ -843,7 +741,7 @@ class TestTiledKernels:
         cents[7] = cents[2]
         blocks[::2] = cents[2]  # exact hits on the tied triple
         codes = mahalanobis_assign(blocks, cents, sigma)
-        assert_bits_equal(codes, whole_matrix_assign(blocks, cents, sigma))
+        assert_bits_equal(codes, reference.assign(blocks, cents, sigma))
         assert not np.isin(codes, [5, 7]).any()
         assert (codes[::2] == 2).all()
 
@@ -859,8 +757,8 @@ class TestTiledKernels:
                  for j, (p, q) in enumerate(pairs + pairs[:3])]
         qb = rng.standard_normal((len(trips), 3)) * 5
         for lam in (0.0, 0.3, 50.0):
-            want = whole_matrix_assign(blocks, cents, sigma,
-                                       dense_penalty(n, cents, trips, lam, qb))
+            want = reference.assign(blocks, cents, sigma,
+                                    reference.penalty(n, cents, trips, lam, qb))
             assert_bits_equal(constrained_assign(blocks, cents, sigma, trips, lam, qb),
                               want)
 
@@ -869,7 +767,7 @@ class TestTiledKernels:
         blocks, _, _ = kernel_instance(n)
         codes = np.random.default_rng(n).integers(0, 8, n).astype(np.int32)
         cents, empty = update_centroids(blocks, codes, 8)
-        want_cents, want_empty = add_at_centroids(blocks, codes, 8)
+        want_cents, want_empty = reference.update(blocks, codes, 8)
         assert_bits_equal(cents, want_cents)
         assert empty == want_empty
 
@@ -892,7 +790,7 @@ class TestTiledKernels:
         qb = rng.standard_normal((25, 3))
         cents = np.zeros((4, 3))
         assert_bits_equal(train_module._hinge_gradient(cents, codes, trips, 0.7, qb),
-                          loop_hinge_gradient(cents, codes, trips, 0.7, qb))
+                          reference.hinge_gradient(cents, codes, trips, 0.7, qb))
         assert_bits_equal(train_module._hinge_gradient(cents, codes, [], 0.7,
                                                        np.zeros((0, 3))),
                           np.zeros((4, 3)))
@@ -910,11 +808,11 @@ class TestTiledKernels:
             [mahalanobis_assign(blocks[k], cents[k], np.eye(3)) for k in range(2)],
             axis=1))
         queries = make_set(rng.standard_normal((nq, 6)))
-        every = per_query_mining(cb, codes, vs, queries, layout, 10 ** 6, 3)
+        every = reference.mine(cents, codes.codes, data, queries.data, 10 ** 6, 3)
         assert every, "instance mines nothing"
         for J in sorted({0, 1, TILE - 1, TILE, len(every) - 1, len(every), 10 ** 6}):
             assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3)
-                    == per_query_mining(cb, codes, vs, queries, layout, J, 3))
+                    == reference.mine(cents, codes.codes, data, queries.data, J, 3))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("nq", EDGE_SIZES + [3 * TILE + 2])
@@ -928,13 +826,14 @@ class TestTiledKernels:
         pairs = np.array([(a, b) for a in range(3) for b in range(3)] * 5, dtype=np.int32)
         codes = CodeMatrix(codes=rng.permutation(pairs[:40]))
         queries = make_set(rng.standard_normal((nq, 6)))
-        every = viol_mining(cb, codes, vs, queries, layout, 10 ** 6, seed)
+        mine = functools.partial(reference.mine, cb.centroids, codes.codes, vs.data,
+                                 queries.data)
+        every = mine(10 ** 6, seed)
         for J in sorted({0, 1, TILE, len(every) - 1, len(every), 10 ** 6} - {-1}):
             assert (find_violated_constraints(cb, codes, vs, queries, layout, J, seed)
-                    == viol_mining(cb, codes, vs, queries, layout, J, seed))
-        from quips.index import build_lookup_table, table_scores
-        tied = [t for t in every if np.sum((s := table_scores(
-            build_lookup_table(queries.data[t.query_id], cb), codes.codes)) == s.max()) > 1]
+                    == mine(J, seed))
+        tied = [t for t in every if np.sum((s := reference.scan(reference.table(
+            queries.data[t.query_id], cb.centroids), codes.codes)) == s.max()) > 1]
         assert len(tied) == len(every)
 
     @pytest.mark.parametrize("l", [1, 3, 8, 16])
@@ -956,7 +855,8 @@ class TestTiledKernels:
                                    int(rng.integers(n))) for _ in range(J)]
         for lam in (0.0, 0.01, 1.0):
             got = penalized_objective(cents, codes, blocks, cov, trips, q_blocks, lam)
-            want = loop_penalized_objective(cents, codes, blocks, cov, trips, q_blocks, lam)
+            want = reference.penalized_objective(cents, codes, blocks, cov.matrices, trips,
+                                                 q_blocks, lam)
             assert got == want and type(got) is type(want)
 
     @pytest.mark.parametrize("nq", EDGE_SIZES)
@@ -977,7 +877,7 @@ class TestTiledKernels:
                 [mahalanobis_assign(blocks[k], cents[k], np.eye(3)) for k in range(2)],
                 axis=1))
             assert (find_violated_constraints(cb, codes, vs, queries, layout, J, 3, top1)
-                    == per_query_mining(cb, codes, vs, queries, layout, J, 3))
+                    == reference.mine(cents, codes.codes, data, queries.data, J, 3))
             assert all(top1[lo] is best for lo, best in seen.items())
             seen = dict(top1)
         assert sorted(top1) == [lo for lo, _ in train_module._row_tiles(nq, TILE)]

@@ -7,10 +7,8 @@ from quips.vecstore import (ChunkLayout, DataError, DenseVectorSet, _fwht, apply
                             generate_synthetic, load_vectors, make_chunk_layout,
                             make_preprocess, pad_to, save_fvecs, PreprocessSpec)
 
-
-def make_set(data):
-    data = np.asarray(data, dtype=np.float64)
-    return DenseVectorSet(data=data, ids=np.arange(len(data), dtype=np.int64))
+import reference
+from reference import make_set
 
 
 def balancedness(v: np.ndarray, layout: ChunkLayout) -> float:
@@ -189,9 +187,7 @@ class TestPreprocess:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 64])
     def test_fwht_is_sylvester_matrix_product(self, d):
-        sylvester = np.ones((1, 1))
-        while sylvester.shape[0] < d:
-            sylvester = np.kron(sylvester, [[1.0, 1.0], [1.0, -1.0]])
+        sylvester = reference.sylvester(d)
         # small integers keep every partial sum exact, so equality is bitwise
         rows = np.random.default_rng(d).integers(-9, 10, size=(5, d)).astype(np.float64)
         np.testing.assert_array_equal(_fwht(rows.copy()), rows @ sylvester)
