@@ -202,9 +202,11 @@ def table_scores(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
     Rows are scanned in tiles; each tile starts at 0.0 and adds the K
     subspaces in ascending order, so every score equals the scalar
-    approximate_inner_product bit for bit.
+    approximate_inner_product bit for bit.  The scan gathers whole rows of
+    values[k], so the table is made C-contiguous first; build_lookup_table's
+    tables already are, and are not copied.
     """
-    values = table if table.ndim == 3 else table[:, :, None]
+    values = np.ascontiguousarray(table if table.ndim == 3 else table[:, :, None])
     K, _, B = values.shape
     n = codes.shape[0]
     out = np.empty((B, n))

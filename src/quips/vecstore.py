@@ -175,6 +175,28 @@ def _fwht(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+# Permutation gathers this many rows at a time: a tile's gathered copy stays in
+# cache while it is written into the Fortran-ordered result, where one whole
+# rows[:, table] writes that result one strided column at a time.
+_GATHER_ROWS = 512
+
+
+def _permute_columns(data: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """data[:, table], with its values and its Fortran layout.
+
+    Beyond one tile the columns are gathered a tile of rows at a time into a
+    Fortran-ordered array; a query batch of at most one tile takes the single
+    fancy index, which is faster at that size.
+    """
+    n = len(data)
+    if n <= _GATHER_ROWS:
+        return data[:, table]
+    out = np.empty((n, len(table)), order="F")
+    for lo in range(0, n, _GATHER_ROWS):
+        out[lo:lo + _GATHER_ROWS] = np.take(data[lo:lo + _GATHER_ROWS], table, axis=1)
+    return out
+
+
 def apply_preprocess(vs: DenseVectorSet, spec: PreprocessSpec) -> DenseVectorSet:
     """apply_preprocess_rows over a whole set; ids are kept."""
     return DenseVectorSet(data=apply_preprocess_rows(vs.data, spec), ids=vs.ids.copy())
@@ -184,14 +206,15 @@ def apply_preprocess_rows(rows: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
     """Zero-pad rows to spec.d_padded, then apply the fixed transform.
 
     Inner products are preserved exactly.  Accepts one row or a 2-d array and
-    always returns a new array.
+    always returns a new array.  A permutation returns Fortran-ordered rows,
+    gathered in tiles of _GATHER_ROWS rows.
     """
     rows = np.asarray(rows, dtype=np.float64)
     data = pad_to(np.atleast_2d(rows), spec.d_padded)
     if spec.kind == "identity":
         data = data.copy()
     elif spec.kind == "permutation":
-        data = data[:, spec.table]
+        data = _permute_columns(data, spec.table)
     else:
         data = _fwht(data * spec.table) / np.sqrt(spec.d_padded)
     return data[0] if rows.ndim == 1 else data
@@ -255,11 +278,13 @@ def _load_fvecs(path: str) -> DenseVectorSet:
 
 
 def save_fvecs(vs: DenseVectorSet, path: str) -> None:
+    """Write the rows as one (n, d + 1) array of int32 records: the header d,
+    then the row's float32 bit patterns."""
+    records = np.empty((vs.n, vs.d + 1), dtype="<i4")
+    records[:, 0] = vs.d
+    records[:, 1:].view("<f4")[...] = vs.data
     with open(path, "wb") as f:
-        header = np.array([vs.d], dtype="<i4").tobytes()
-        for row in vs.data:
-            f.write(header)
-            f.write(row.astype("<f4").tobytes())
+        records.tofile(f)
 
 
 def _load_csv(path: str, id_column: bool) -> DenseVectorSet:

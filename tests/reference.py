@@ -34,6 +34,13 @@ def make_set(data, ids=None) -> DenseVectorSet:
     return DenseVectorSet(data=data, ids=np.asarray(ids, dtype=np.int64))
 
 
+def fvecs_bytes(data: np.ndarray) -> bytes:
+    """The .fvecs file of the rows, one row at a time: the int32 width d,
+    then the row's d float32 values, all little-endian."""
+    header = np.array([data.shape[1]], dtype="<i4").tobytes()
+    return b"".join(header + row.astype("<f4").tobytes() for row in data)
+
+
 # ---------------------------------------------------------------------------
 # padding and preprocessing
 

@@ -316,6 +316,22 @@ class TestApproximateInnerProduct:
         for i in range(50):
             assert vec[i] == approximate_inner_product(t, index.codes.codes[i])
 
+    def test_any_table_layout_scores_the_same_bits(self):
+        """A transposed or Fortran-ordered table scores as its C-contiguous
+        copy does, for one query and for a batch."""
+        rng = np.random.default_rng(8)
+        _, index = random_index(300, 8, 4, 6, seed=8)
+        codes = index.codes.codes
+        for q in (rng.standard_normal(8), rng.standard_normal((5, 8))):
+            t = build_lookup_table(q, index.codebook)
+            assert t.flags.c_contiguous
+            want = table_scores(t, codes)
+            # the same values behind a transposed view, and a Fortran-ordered copy
+            flipped = np.ascontiguousarray(t.T).T
+            for other in (flipped, np.asfortranarray(t)):
+                assert not other.flags.c_contiguous
+                assert table_scores(other, codes).tobytes() == want.tobytes()
+
 
 class TestSearch:
     def test_n_ge_all(self):

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quips import train as train_module
 from quips.covariance import (SubspaceCovariances, estimate_subspace_covariances,
@@ -16,7 +18,8 @@ from quips.train import (Codebook, CodeMatrix, ConstraintTriplet, TrainConfig,
                          find_violated_constraints, mahalanobis_assign,
                          penalized_objective, subspace_objective,
                          train_quip, train_quip_opt, update_centroids,
-                         _blocks_of, _hinge_gradient, _init_centroids, _reseed_empty)
+                         _CANCEL_SHARE, _blocks_of, _cell_objective, _cell_stats,
+                         _hinge_gradient, _init_centroids, _reseed_empty)
 from quips.vecstore import make_chunk_layout
 
 import reference
@@ -109,6 +112,80 @@ class TestReseedEmpty:
                                             blocks[farthest[1]], cents[3]])
 
 
+def cell_objective_instance(n, l, C, seed, noise, scale=1.0, float32=False):
+    """Rows near C random centers of about this scale (noise sets how near),
+    their codes drawn at random, so small n leaves cells empty, and a
+    positive definite Sigma."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, C, size=n).astype(np.int32)
+    centers = rng.standard_normal((C, l)) * scale
+    rows = centers[codes] + noise * rng.standard_normal((n, l))
+    if float32:
+        rows = rows.astype(np.float32)
+    a = rng.standard_normal((l, l))
+    return rows, codes, a @ a.T / l + 0.1 * np.eye(l)
+
+
+def cell_objective(rows, codes, centroids, sigma):
+    """_cell_objective of the centroids over the rows, X from the reference."""
+    X = reference.objective(rows, np.zeros_like(centroids), codes, sigma)
+    return _cell_objective(X, *_cell_stats(rows, codes, len(centroids)), centroids, sigma,
+                           rows, codes), X
+
+
+class TestCellObjective:
+    """The Lloyd objectives from cell statistics against the residual sums.
+
+    Away from the guard the formula's rounding has measured at most 6 ulps of
+    X = sum_x x^T Sigma x; above _CANCEL_SHARE * X that is at most about
+    1e-11 of the objective, so 1e-9 leaves a hundredfold margin.  At or below
+    the guard the residual sum itself is returned.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), l=st.integers(1, 5), C=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1), noise=st.sampled_from([0.0, 1e-5, 1e-3, 1.0]),
+           scale=st.sampled_from([1e-2, 1.0, 1e2]), float32=st.booleans(),
+           which=st.sampled_from(["random", "means", "reseeded", "exact"]))
+    def test_equals_the_residual_sum(self, n, l, C, seed, noise, scale, float32, which):
+        C = min(C, n)  # as training requires; random codes still leave cells empty
+        rows, codes, sigma = cell_objective_instance(n, l, C, seed, noise, scale, float32)
+        if which == "random":
+            cents = np.random.default_rng(seed + 1).standard_normal((C, l))
+        elif which == "exact":  # one row per cell: a zero-error codebook
+            C, codes = n, np.arange(n, dtype=np.int32)
+            cents = rows.astype(np.float64)
+        else:
+            cents, empty = update_centroids(rows, codes, C)
+            if which == "reseeded":
+                cents = _reseed_empty(cents, empty, rows, codes, sigma)
+        got, X = cell_objective(rows, codes, cents, sigma)
+        want = reference.objective(rows, cents, codes, sigma)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        if which == "exact":
+            assert got == 0.0
+
+    # the objective is about noise^2 of X
+    @pytest.mark.parametrize("noise, formula", [(1e-1, True), (3e-2, True),
+                                                (3e-3, False), (1e-4, False)])
+    def test_guard_sides(self, monkeypatch, noise, formula):
+        """Above the guard the value is the formula's; at or below it, the
+        residual sum bit for bit."""
+        rows, codes, sigma = cell_objective_instance(400, 3, 8, 11, noise)
+        means, _ = update_centroids(rows, codes, 8)
+        want = subspace_objective(rows, means, codes, sigma)
+        calls = []
+        monkeypatch.setattr(train_module, "subspace_objective",
+                            lambda *a: calls.append(a) or want)
+        got, X = cell_objective(rows, codes, means, sigma)
+        assert (want > _CANCEL_SHARE * X) == formula
+        assert (not calls) == formula
+        if formula:
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want
+
+
 class TestTrainQuip:
     def test_exact_codebook_zero_objective(self):
         rng = np.random.default_rng(2)
@@ -161,7 +238,9 @@ class TestTrainQuip:
     def test_first_iteration_objectives(self):
         """The assign entry scores the new codes against the old centroids and
         the update entry against the reseeded cell means, each a sum over the
-        subspaces in ascending k."""
+        subspaces.  Training takes them from the cell statistics, so they
+        equal the residual sums to a relative 1e-12, not bit for bit; scoring
+        the assign entry against the new means would move it by about 30%."""
         data = np.random.default_rng(30).standard_normal((80, 6))
         vs, cov = database_cov(data, K=3, ridge=1e-6)
         cfg = TrainConfig(K=3, C=5, T=1, seed=2)
@@ -173,7 +252,8 @@ class TestTrainQuip:
         want = [sum(subspace_objective(blocks[k], u[k], codes[k], sigma[k]) for k in range(3))
                 for u in (cents, means)]
         assert want[0] > want[1]
-        assert [e["objective"] for e in train_quip(vs, cov, cfg)[2]] == want
+        got = [e["objective"] for e in train_quip(vs, cov, cfg)[2]]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_deterministic(self):
         data = np.random.default_rng(6).standard_normal((50, 6))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quips.vecstore import (ChunkLayout, DataError, DenseVectorSet, _fwht, apply_preprocess,
-                            generate_synthetic, load_vectors, make_chunk_layout,
+from quips.vecstore import (_GATHER_ROWS, ChunkLayout, DataError, DenseVectorSet, _fwht,
+                            apply_preprocess, apply_preprocess_rows, generate_synthetic, load_vectors, make_chunk_layout,
                             make_preprocess, pad_to, save_fvecs, PreprocessSpec)
 
 import reference
@@ -73,6 +73,16 @@ class TestFvecs:
         loaded = load_vectors(str(p1), "fvecs")
         save_fvecs(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 5), (257, 64)])
+    def test_bytes_equal_the_per_row_loop(self, tmp_path, n, d):
+        """One record-array write gives the per-row writer's bytes, float32
+        rounding included, for rows of any layout."""
+        data = np.random.default_rng(n).standard_normal((n, d)) * 1e3
+        path = tmp_path / "v.fvecs"
+        for rows in (data, np.asfortranarray(data)):
+            save_fvecs(make_set(rows), str(path))
+            assert path.read_bytes() == reference.fvecs_bytes(data)
 
 
 class TestCsv:
@@ -175,6 +185,23 @@ class TestPreprocess:
         perm = np.random.default_rng(11).permutation(3)
         out = apply_preprocess(vs, spec)
         np.testing.assert_array_equal(out.data[0], vs.data[0][perm])
+
+    @pytest.mark.parametrize("n", [1, 2, _GATHER_ROWS - 1, _GATHER_ROWS, _GATHER_ROWS + 1,
+                                   2 * _GATHER_ROWS + 1, 3 * _GATHER_ROWS + 7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_permutation_tiles_equal_one_gather(self, n, order):
+        """On either side of the tile size, from rows of either layout, the
+        tiled gather is rows[:, table] bit for bit, in Fortran order."""
+        spec = PreprocessSpec(kind="permutation", seed=5, d_padded=24)
+        rows = np.asarray(np.random.default_rng(n).standard_normal((n, 21)), order=order)
+        want = reference.pad(rows, 24)[:, spec.table]
+        got = apply_preprocess_rows(rows, spec)
+        assert got.flags.f_contiguous
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+        full = np.asarray(reference.pad(rows, 24), order=order)  # no padding to copy
+        got = apply_preprocess_rows(full, spec)
+        assert got.flags.f_contiguous and not np.shares_memory(got, full)
+        assert got.tobytes(order="F") == want.tobytes(order="F")
 
     def test_hadamard_preserves_dots(self):
         rng = np.random.default_rng(0)
